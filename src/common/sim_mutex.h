@@ -18,6 +18,7 @@
 #ifndef SRC_COMMON_SIM_MUTEX_H_
 #define SRC_COMMON_SIM_MUTEX_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
@@ -50,7 +51,9 @@ class SimMutex {
     const uint64_t arrived = ctx.clock.NowNs();
     uint64_t now = arrived;
     // Chase the busy intervals: waiting inside one may land us in the next.
-    bool moved = true;
+    // An arrival at or past every end ever recorded lies in no interval, so
+    // the scan is skipped (same result).
+    bool moved = arrived < max_end_ns_;
     int guard = 0;
     while (moved && guard++ < 2 * kRingSize) {
       moved = false;
@@ -72,6 +75,7 @@ class SimMutex {
     if (end > cs_enter_ns_) {
       ring_[head_] = Interval{cs_enter_ns_, end};
       head_ = (head_ + 1) % kRingSize;
+      max_end_ns_ = std::max(max_end_ns_, end);
     }
     if constexpr (kProfilerEnabled) {
       if (ctx.profiler != nullptr) {
@@ -135,6 +139,7 @@ class SimMutex {
   std::string site_;
   std::array<Interval, kRingSize> ring_{};
   size_t head_ = 0;
+  uint64_t max_end_ns_ = 0;  // largest Interval::end ever stored in ring_
   uint64_t cs_enter_ns_ = 0;
   uint64_t wait_ns_ = 0;
   uint64_t last_wait_ns_ = 0;

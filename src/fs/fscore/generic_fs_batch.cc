@@ -2,31 +2,30 @@
 // that opt into native batching (WineFS, the ext4-DAX family).
 //
 // The engine runs the hot metadata kinds — stat, open (plain), close, pread,
-// fsync — through a per-batch arena allocator and an SoA path-resolution
-// cache, and hands every other kind to FileSystem::DispatchScalarOp. The
-// contract is absolute: every simulated charge (clock advances, counters,
-// SimMutex acquisitions, device traffic) is issued exactly as the scalar
-// virtuals would issue it, in the same order. What the fast path removes is
-// HOST work only: the per-op recursive-mutex round trip, the per-component
-// std::string splitting in Resolve, and the repeated per-level dirent-map
-// walks for paths the batch has already resolved.
+// fsync — under one stripe-lock hold and a per-call memo of resolved paths,
+// and hands every other kind to FileSystem::DispatchScalarOp. The contract
+// is absolute: every simulated charge (clock advances, counters, SimMutex
+// acquisitions, device traffic) is issued exactly as the scalar virtuals
+// would issue it, in the same order. What the fast path removes is HOST
+// work only: the per-op recursive-mutex round trip and the repeated
+// per-level dirent-map walks for paths the batch has already resolved. A
+// path seen for the first time goes through the same Resolve walker the
+// scalar syscalls use.
 //
-// Cache coherence rules:
-//   - The path cache and fd cache live for one ExecuteBatchNative call.
+// Memo coherence rules:
+//   - The memo lives for one ExecuteBatchNative call; its storage belongs to
+//     the caller's dram_mu_ stripe and is reused by the next call.
 //   - Any scalar-dispatched namespace mutation (open-create/trunc, unlink,
-//     rename, mkdir, rmdir) flushes both caches — inode pointers may have
-//     died and dirent sets changed.
-//   - Data-plane scalar ops (pwrite/append/ftruncate/fallocate) do not flush:
-//     Inode objects are owned by unique_ptr (stable addresses) and only the
-//     namespace ops above erase them.
-//   - A failed resolve is never cached, so retries re-charge exactly like the
-//     scalar loop's partial-resolve error paths.
+//     rename, mkdir, rmdir) clears it — inode pointers may have died and
+//     dirent sets changed.
+//   - Data-plane scalar ops (pwrite/append/ftruncate/fallocate) do not clear
+//     it: Inode objects are owned by unique_ptr (stable addresses) and only
+//     the namespace ops above erase them.
+//   - A failed resolve is never memoized, so retries re-charge exactly like
+//     the scalar loop's partial-resolve error paths.
 #include <algorithm>
-#include <cassert>
 #include <cstring>
-#include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "src/fs/fscore/generic_fs.h"
@@ -35,73 +34,87 @@
 
 namespace fscore {
 
-namespace {
-
 using common::ErrorCode;
 using common::ExecContext;
 using common::kBlockSize;
 using common::Status;
 
-// Per-batch bump allocator: backs the path-component arrays and resolver
-// chains so the hot loop performs no per-op heap traffic. Blocks are never
-// recycled mid-batch, so every handed-out pointer stays valid until the
-// engine returns.
-class BumpArena {
- public:
-  template <typename T>
-  T* AllocArray(size_t n) {
-    const size_t bytes = n * sizeof(T);
-    const size_t align = alignof(T);
-    size_t offset = (used_ + align - 1) & ~(align - 1);
-    if (cur_ == nullptr || offset + bytes > cap_) {
-      cap_ = bytes > kBlockBytes ? bytes : kBlockBytes;
-      blocks_.push_back(std::make_unique<char[]>(cap_));
-      cur_ = blocks_.back().get();
-      offset = 0;
-    }
-    used_ = offset + bytes;
-    return reinterpret_cast<T*>(cur_ + offset);
+// Path hash for the memo. Deep-tree paths share long prefixes and often
+// differ in a single byte, so every 8-byte word counts, each weighted by an
+// odd multiplier that grows with its position (a one-word difference always
+// changes the sum; reordered words almost always do). The multiplies do not
+// depend on one another, so they pipeline.
+uint64_t GenericFs::PathMemo::Hash(std::string_view path) {
+  uint64_t sum = path.size();
+  uint64_t weight = 1;
+  size_t i = 0;
+  for (; i + 8 <= path.size(); i += 8, weight += 2) {
+    uint64_t word;
+    std::memcpy(&word, path.data() + i, 8);
+    sum += word * weight;
   }
+  uint64_t tail = 0;
+  std::memcpy(&tail, path.data() + i, path.size() - i);
+  sum += tail * weight;
+  // fmix64 (MurmurHash3's finalizer): spreads the sum into the low bits the
+  // slot index uses.
+  sum ^= sum >> 33;
+  sum *= 0xff51afd7ed558ccdull;
+  sum ^= sum >> 33;
+  sum *= 0xc4ceb9fe1a85ec53ull;
+  sum ^= sum >> 33;
+  return sum;
+}
 
- private:
-  static constexpr size_t kBlockBytes = 64 * 1024;
-  std::vector<std::unique_ptr<char[]>> blocks_;
-  char* cur_ = nullptr;
-  size_t used_ = 0;
-  size_t cap_ = 0;
-};
-
-// Sampled path hash for the resolution cache: deep-tree paths run hundreds of
-// bytes and a full byte-wise hash per lookup would dominate the cache-hit
-// cost. Mixing the length with the first, middle, and last words is enough to
-// spread real path populations; a rare collision only costs the bucket's full
-// string_view equality compare.
-struct SampledPathHash {
-  size_t operator()(std::string_view s) const {
-    uint64_t h = 0x9e3779b97f4a7c15ull ^ s.size();
-    const auto mix = [&h](uint64_t v) {
-      h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    };
-    if (s.size() >= 8) {
-      uint64_t head;
-      uint64_t middle;
-      uint64_t tail;
-      std::memcpy(&head, s.data(), 8);
-      std::memcpy(&middle, s.data() + s.size() / 2 - 4, 8);
-      std::memcpy(&tail, s.data() + s.size() - 8, 8);
-      mix(head);
-      mix(middle);
-      mix(tail);
-    } else {
-      for (char c : s) {
-        mix(static_cast<uint8_t>(c));
-      }
-    }
-    return h;
+const GenericFs::PathMemo::Row* GenericFs::PathMemo::Find(std::string_view path,
+                                                          uint64_t hash) const {
+  if (slots_.empty()) {
+    return nullptr;
   }
-};
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = hash & mask; slots_[i].epoch == epoch_; i = (i + 1) & mask) {
+    const Row& row = rows_[slots_[i].row];
+    if (row.hash == hash && row.path == path) {
+      return &row;
+    }
+  }
+  return nullptr;
+}
 
-}  // namespace
+void GenericFs::PathMemo::Insert(const Row& row) {
+  rows_.push_back(row);
+  if (rows_.size() * 2 > slots_.size()) {
+    Rehash(std::max<size_t>(64, slots_.size() * 2));
+  } else {
+    Place(static_cast<uint32_t>(rows_.size() - 1));
+  }
+}
+
+void GenericFs::PathMemo::Rehash(size_t slot_count) {
+  slots_.assign(slot_count, Slot{});
+  epoch_ = 1;
+  for (size_t r = 0; r < rows_.size(); r++) {
+    Place(static_cast<uint32_t>(r));
+  }
+}
+
+void GenericFs::PathMemo::Place(uint32_t row) {
+  const size_t mask = slots_.size() - 1;
+  size_t i = rows_[row].hash & mask;
+  while (slots_[i].epoch == epoch_) {
+    i = (i + 1) & mask;
+  }
+  slots_[i] = Slot{epoch_, row};
+}
+
+void GenericFs::PathMemo::Clear() {
+  rows_.clear();
+  deltas.clear();
+  if (++epoch_ == 0) {  // wrapped: stale slots would read as live
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    epoch_ = 1;
+  }
+}
 
 void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
                                    std::vector<vfs::OpResult>& results) {
@@ -111,154 +124,49 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
   // scalar-dispatched ops re-entering the public virtuals still work; those
   // re-lock the SAME stripe since they run under the same ctx.cpu).
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
+  PathMemo& memo = path_memos_[ctx.cpu % path_memos_.size()];
+  memo.Clear();
 
-  BumpArena arena;
-
-  // SoA path-resolution cache: parallel columns indexed by a string_view ->
-  // row map. Each row memoizes the resolve's full charge footprint — the
-  // total clock advance (path-component cost plus every ChargeDirLookup along
-  // the chain) and the sparse counter deltas those lookups issued. Replaying
-  // the memoized charges is exact because ChargeDirLookup is contractually a
-  // pure function of the directory's state (generic_fs.h), and every op that
-  // can change that state flushes this cache.
-  struct PathCache {
-    std::vector<Inode*> node;         // resolved leaf inode (never null)
-    std::vector<uint64_t> charge_ns;  // total clock advance of the resolve
-    std::vector<uint32_t> delta_begin;  // offset into delta_field/delta_value
-    std::vector<uint32_t> delta_count;
-    std::vector<uint8_t> delta_field;   // kCounterFields index
-    std::vector<uint64_t> delta_value;
-    std::unordered_map<std::string_view, uint32_t, SampledPathHash> index;
-
-    void Clear() {
-      node.clear();
-      charge_ns.clear();
-      delta_begin.clear();
-      delta_count.clear();
-      delta_field.clear();
-      delta_value.clear();
-      index.clear();
-    }
-  } cache;
-
-  // fd -> Inode* shortcut, bypassing the fds_ + inodes_ double lookup for
-  // descriptors the batch touches repeatedly.
-  std::vector<Inode*> fd_cache(fds_.size(), nullptr);
-
-  const auto flush_caches = [&] {
-    cache.Clear();
-    std::fill(fd_cache.begin(), fd_cache.end(), nullptr);
-  };
-
-  // Charge-exact replica of SplitPath + Resolve(want_parent=true), reading
-  // components as string_views (no per-component strings) and memoizing
-  // successful resolves. On a cache hit, replays the resolve's memoized
-  // charges (one clock advance + sparse counter deltas) without touching any
-  // dirent map or virtual dispatch.
-  const auto resolve_fast = [&](const std::string& path, Status* status) -> Inode* {
-    if (auto hit = cache.index.find(std::string_view(path)); hit != cache.index.end()) {
-      const uint32_t row = hit->second;
-      ctx.clock.Advance(cache.charge_ns[row]);
-      const uint32_t begin = cache.delta_begin[row];
-      for (uint32_t i = 0; i < cache.delta_count[row]; i++) {
-        ctx.counters.*common::kCounterFields[cache.delta_field[begin + i]].member +=
-            cache.delta_value[begin + i];
+  // Resolve(want_parent=true) of an existing path, memoized. A hit replays
+  // the first resolve's charges (one clock advance + sparse counter deltas)
+  // without touching any dirent map or virtual dispatch; that is exact
+  // because ChargeDirLookup is contractually a pure function of the
+  // directory's state (generic_fs.h), and every op that can change that
+  // state clears the memo.
+  const auto resolve = [&](const std::string& path, Status* status) -> Inode* {
+    const uint64_t hash = PathMemo::Hash(path);
+    if (const PathMemo::Row* row = memo.Find(path, hash); row != nullptr) {
+      ctx.clock.Advance(row->charge_ns);
+      for (uint32_t i = 0; i < row->delta_count; i++) {
+        const PathMemo::Delta& delta = memo.deltas[row->delta_begin + i];
+        ctx.counters.*common::kCounterFields[delta.field].member += delta.value;
       }
       *status = common::OkStatus();
-      return cache.node[row];
+      return row->node;
     }
-
-    // SplitPath replica: validation errors fire BEFORE any clock advance,
-    // exactly like the scalar helper.
-    if (path.empty() || path[0] != '/') {
-      *status = Status(ErrorCode::kInvalidArgument);
-      return nullptr;
-    }
-    std::string_view* parts = arena.AllocArray<std::string_view>(path.size() / 2 + 1);
-    size_t nparts = 0;
-    size_t start = 1;
-    while (start < path.size()) {
-      size_t end = path.find('/', start);
-      if (end == std::string::npos) {
-        end = path.size();
-      }
-      if (end > start) {
-        if (end - start > kMaxNameLen) {
-          *status = Status(ErrorCode::kInvalidArgument);
-          return nullptr;
-        }
-        parts[nparts++] = std::string_view(path).substr(start, end - start);
-      }
-      start = end + 1;
-    }
-
-    // Snapshot clock and counters: on success, everything charged from here
-    // to the leaf (the path-component advance plus every ChargeDirLookup) is
-    // memoized for this row and replayed verbatim on later hits.
     const uint64_t charge_start_ns = ctx.clock.NowNs();
     const common::PerfCounters counters_before = ctx.counters;
-
-    ctx.clock.Advance(device_->cost().vfs_path_component_ns * (nparts + 1));
-    if (nparts == 0) {
-      *status = Status(ErrorCode::kInvalidArgument);  // cannot take parent of root
+    auto resolved = Resolve(ctx, path, /*want_parent=*/true);
+    if (!resolved.ok() || resolved->node == nullptr) {
+      *status = resolved.ok() ? Status(ErrorCode::kNotFound) : resolved.status();
       return nullptr;
     }
-
-    Inode* current = GetInode(vfs::kRootIno);
-    for (size_t i = 0; i + 1 < nparts; i++) {
-      ChargeDirLookup(ctx, *current);
-      auto it = current->dirents.find(parts[i]);
-      if (it == current->dirents.end()) {
-        *status = Status(ErrorCode::kNotFound);
-        return nullptr;
-      }
-      if (!it->second.is_dir) {
-        *status = Status(ErrorCode::kNotDir);
-        return nullptr;
-      }
-      current = GetInode(it->second.ino);
-      if (current == nullptr) {
-        *status = Status(ErrorCode::kCorrupt);
-        return nullptr;
-      }
-    }
-    ChargeDirLookup(ctx, *current);  // the parent dir, charged before the leaf find
-    auto it = current->dirents.find(parts[nparts - 1]);
-    Inode* node = it == current->dirents.end() ? nullptr : GetInode(it->second.ino);
-    if (node == nullptr) {
-      *status = Status(ErrorCode::kNotFound);
-      return nullptr;
-    }
-
-    const uint32_t row = static_cast<uint32_t>(cache.node.size());
-    cache.node.push_back(node);
-    cache.charge_ns.push_back(ctx.clock.NowNs() - charge_start_ns);
-    cache.delta_begin.push_back(static_cast<uint32_t>(cache.delta_field.size()));
-    uint32_t ndeltas = 0;
+    PathMemo::Row row;
+    row.path = path;
+    row.hash = hash;
+    row.node = resolved->node;
+    row.charge_ns = ctx.clock.NowNs() - charge_start_ns;
+    row.delta_begin = static_cast<uint32_t>(memo.deltas.size());
     for (size_t f = 0; f < common::kNumCounterFields; f++) {
-      const uint64_t delta =
-          ctx.counters.*common::kCounterFields[f].member - counters_before.*common::kCounterFields[f].member;
-      if (delta != 0) {
-        cache.delta_field.push_back(static_cast<uint8_t>(f));
-        cache.delta_value.push_back(delta);
-        ndeltas++;
+      const auto member = common::kCounterFields[f].member;
+      if (const uint64_t delta = ctx.counters.*member - counters_before.*member; delta != 0) {
+        memo.deltas.push_back(PathMemo::Delta{static_cast<uint8_t>(f), delta});
+        row.delta_count++;
       }
     }
-    cache.delta_count.push_back(ndeltas);
-    cache.index.emplace(std::string_view(path), row);
+    memo.Insert(row);
     *status = common::OkStatus();
-    return node;
-  };
-
-  const auto inode_by_fd = [&](int fd) -> Inode* {
-    if (fd >= 0 && static_cast<size_t>(fd) < fd_cache.size() && fd_cache[fd] != nullptr) {
-      return fd_cache[fd];
-    }
-    Inode* inode = GetInodeByFd(fd);
-    if (inode != nullptr) {
-      fd_cache[fd] = inode;
-    }
-    return inode;
+    return row.node;
   };
 
   const std::vector<vfs::Op>& ops = batch.ops();
@@ -275,7 +183,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
         ChargeSyscall(ctx);
         obs::OpScope op_scope(ctx, Name(), "stat");
         Status status;
-        Inode* node = resolve_fast(op.path, &status);
+        Inode* node = resolve(op.path, &status);
         if (node == nullptr) {
           out.status = status;
           break;
@@ -290,15 +198,15 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
 
       case vfs::OpKind::kOpen: {
         if (op.flags.create() || op.flags.truncate()) {
-          // Namespace-mutating open: scalar path, then drop stale caches.
+          // Namespace-mutating open: scalar path, then drop the stale memo.
           DispatchScalarOp(ctx, batch, i, results);
-          flush_caches();
+          memo.Clear();
           break;
         }
         ChargeSyscall(ctx);
         obs::OpScope op_scope(ctx, Name(), "open");
         Status status;
-        Inode* node = resolve_fast(op.path, &status);
+        Inode* node = resolve(op.path, &status);
         if (node == nullptr) {
           out.status = status;
           break;
@@ -313,7 +221,6 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           for (size_t fd = 0; fd < fds_.size(); fd++) {
             if (!fds_[fd].in_use) {
               fds_[fd] = FdEntry{node->ino, op.flags.write(), true};
-              fd_cache[fd] = node;
               out.value = fd;
               placed = true;
               break;
@@ -341,7 +248,6 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           break;
         }
         fds_[fd] = FdEntry{};
-        fd_cache[fd] = nullptr;
         break;
       }
 
@@ -353,7 +259,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
         }
         ChargeSyscall(ctx);
         obs::OpScope op_scope(ctx, Name(), "pread");
-        Inode* inode = inode_by_fd(*resolved);
+        Inode* inode = GetInodeByFd(*resolved);
         if (inode == nullptr) {
           out.status = Status(ErrorCode::kBadFd);
           break;
@@ -403,7 +309,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
         }
         ChargeSyscall(ctx);
         obs::OpScope op_scope(ctx, Name(), "fsync");
-        Inode* inode = inode_by_fd(*resolved);
+        Inode* inode = GetInodeByFd(*resolved);
         if (inode == nullptr) {
           out.status = Status(ErrorCode::kBadFd);
           break;
@@ -424,12 +330,12 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
       case vfs::OpKind::kMkdir:
       case vfs::OpKind::kRmdir:
         DispatchScalarOp(ctx, batch, i, results);
-        flush_caches();
+        memo.Clear();
         break;
 
       default:
         // Data-plane and remaining namespace-read ops: scalar virtuals, no
-        // cache impact (inode addresses are stable outside the erasing ops).
+        // memo impact (inode addresses are stable outside the erasing ops).
         DispatchScalarOp(ctx, batch, i, results);
         break;
     }

@@ -1,7 +1,9 @@
 // Unit tests for src/common: Status/Result, RNG/Zipf, histogram, sim clocks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -230,6 +232,66 @@ TEST(SimMutexTest, ChainsThroughBackToBackHolds) {
   mutex.Lock(c);
   EXPECT_EQ(c.clock.NowNs(), 200u);
   mutex.Unlock(c);
+}
+
+// Random lock/unlock times, including zero-length holds (never recorded),
+// out-of-order interval ends and many ring wrap-arounds. Each acquire must
+// land on the first time at or after its arrival that no interval among the
+// last 64 recorded covers — computed here by brute force over the candidate
+// points (the arrival and every recorded end).
+TEST(SimMutexTest, RandomScheduleMatchesBruteForce) {
+  constexpr size_t kRing = 64;
+  common::SimMutex mutex;
+  common::Rng rng(4242);
+  std::vector<std::pair<uint64_t, uint64_t>> recorded;  // [start, end)
+  uint64_t max_end = 0;
+  uint64_t expected_wait = 0;
+  size_t waited = 0;
+  size_t past_every_end = 0;
+  for (int step = 0; step < 20000; step++) {
+    // One arrival in eight lands at or past every recorded end; the rest
+    // land up to 3 us before the latest end, often inside a recent hold.
+    const uint64_t back = rng.NextBelow(3000);
+    const uint64_t arrival = rng.NextBelow(8) == 0 ? max_end + rng.NextBelow(100)
+                                                   : (max_end > back ? max_end - back : 0);
+    const uint64_t hold = rng.NextBelow(5) == 0 ? 0 : rng.NextBelow(200);
+
+    const size_t first = recorded.size() > kRing ? recorded.size() - kRing : 0;
+    const auto covered = [&](uint64_t t) {
+      for (size_t i = first; i < recorded.size(); i++) {
+        if (recorded[i].first <= t && t < recorded[i].second) {
+          return true;
+        }
+      }
+      return false;
+    };
+    uint64_t expected = covered(arrival) ? UINT64_MAX : arrival;
+    for (size_t i = first; i < recorded.size(); i++) {
+      const uint64_t end = recorded[i].second;
+      if (end >= arrival && end < expected && !covered(end)) {
+        expected = end;
+      }
+    }
+    ASSERT_NE(expected, UINT64_MAX) << "step " << step;
+    waited += expected > arrival ? 1 : 0;
+    past_every_end += arrival >= max_end ? 1 : 0;
+
+    common::ExecContext ctx(static_cast<uint32_t>(step % 8));
+    ctx.clock.SetNs(arrival);
+    mutex.Lock(ctx);
+    ASSERT_EQ(ctx.clock.NowNs(), expected) << "step " << step << " arrival " << arrival;
+    ctx.clock.Advance(hold);
+    mutex.Unlock(ctx);
+    expected_wait += expected - arrival;
+    if (hold > 0) {
+      recorded.emplace_back(expected, expected + hold);
+      max_end = std::max(max_end, expected + hold);
+    }
+  }
+  EXPECT_EQ(mutex.total_wait_ns(), expected_wait);
+  // Both paths ran: acquires that had to wait, and arrivals past every end.
+  EXPECT_GT(waited, 1000u);
+  EXPECT_GT(past_every_end, 1000u);
 }
 
 TEST(SimMutexTest, ThreadSafetyUnderRealConcurrency) {

@@ -18,6 +18,7 @@
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
 #include "src/pmem/device.h"
+#include "src/vfs/op_batch.h"
 
 namespace {
 
@@ -159,6 +160,30 @@ TEST(OpScopeTest, FeedsRegistryThroughContext) {
   // back as the sample's bucket upper bound.
   EXPECT_GE(hist.MedianNanos(), 1234u);
   EXPECT_LE(hist.MedianNanos(), 1234u * 106 / 100);
+}
+
+// Each syscall records under its own op name, on the scalar path and in the
+// native batch engine alike: a readdir is a "readdir" row, never a "stat".
+TEST(OpScopeTest, ReadDirAndStatRecordUnderTheirOwnNames) {
+  pmem::PmemDevice device(64 * kMiB);
+  auto fs = fsreg::Create("winefs", &device);
+  ExecContext ctx;
+  ASSERT_TRUE(fs->Mkfs(ctx).ok());
+  ASSERT_TRUE(fs->Mkdir(ctx, "/d").ok());
+  obs::MetricsRegistry registry;
+  ctx.AttachMetrics(&registry);
+  ASSERT_TRUE(fs->ReadDir(ctx, "/d").ok());
+  ASSERT_TRUE(fs->ReadDir(ctx, "/").ok());
+  ASSERT_TRUE(fs->Stat(ctx, "/d").ok());
+  vfs::OpBatch batch;
+  batch.ReadDir("/d");
+  batch.Stat("/d");
+  std::vector<vfs::OpResult> results;
+  fs->ExecuteBatch(ctx, batch, results);
+  ASSERT_TRUE(results[0].ok() && results[1].ok());
+  ctx.AttachMetrics(nullptr);
+  EXPECT_EQ(registry.OpHistogram("winefs", "readdir").count(), 3u);
+  EXPECT_EQ(registry.OpHistogram("winefs", "stat").count(), 2u);
 }
 
 // ---- JSON writer/parser -----------------------------------------------------
