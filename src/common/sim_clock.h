@@ -15,6 +15,7 @@
 #include <atomic>
 #include <mutex>
 #include <string>
+#include <thread>
 
 namespace common {
 
@@ -90,20 +91,31 @@ class ResourceClock {
 // Pause-looped spinlock for critical sections of a few nanoseconds. The
 // syscall spine takes SharedResource's lock on EVERY operation; a futex-based
 // std::mutex round trip there costs more host time than the protected window
-// arithmetic itself.
+// arithmetic itself. Waiters spin on a plain load (test-and-test-and-set), so
+// a held lock's cache line stays shared instead of being pulled exclusive by
+// every failed exchange, and after a bounded spin they yield the host CPU to
+// a holder that was preempted.
 class SpinMutex {
  public:
   void lock() {
-    while (flag_.test_and_set(std::memory_order_acquire)) {
+    uint32_t spins = 0;
+    while (locked_.exchange(true, std::memory_order_acquire)) {
+      while (locked_.load(std::memory_order_relaxed)) {
+        if (++spins < kSpinsBeforeYield) {
 #if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
+          __builtin_ia32_pause();
 #endif
+        } else {
+          std::this_thread::yield();
+        }
+      }
     }
   }
-  void unlock() { flag_.clear(std::memory_order_release); }
+  void unlock() { locked_.store(false, std::memory_order_release); }
 
  private:
-  std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
+  static constexpr uint32_t kSpinsBeforeYield = 256;
+  std::atomic<bool> locked_{false};
 };
 
 // A shared server with capacity 1, accounted in fixed windows of simulated

@@ -226,18 +226,21 @@ class WineFs : public fscore::GenericFs {
 
   WineFsOptions wopts_;
   std::vector<std::unique_ptr<CpuPool>> pools_;
-  std::atomic<uint64_t> next_txn_id_{1};
+  // Bumped by every transaction on every CPU, so it gets a cache line of its
+  // own: sharing one with the table headers around it, which every op reads,
+  // would turn each bump into a miss for every other host worker.
+  alignas(64) std::atomic<uint64_t> next_txn_id_{1};
 
   // Active transaction, one slot per CPU: operations on one CPU are
   // serialized by that CPU's dram stripe (an op runs begin..commit without
   // interleaving), while ops on other CPUs run their own transactions
   // concurrently against their own journals. Nesting uses the depth counter.
-  struct TxSlot {
+  struct alignas(64) TxSlot {  // a line per CPU: host workers write their own
     int depth = 0;
     uint32_t cpu = 0;
     uint64_t id = 0;
   };
-  std::vector<TxSlot> tx_slots_{1};
+  alignas(64) std::vector<TxSlot> tx_slots_{1};
   TxSlot& Tx(const common::ExecContext& ctx) {
     return tx_slots_[ctx.cpu % tx_slots_.size()];
   }
@@ -249,7 +252,7 @@ class WineFs : public fscore::GenericFs {
 
   // Journal group-commit staging state (active only inside ExecuteBatch),
   // one slot per CPU so concurrently-batching shards stage independently.
-  struct StageSlot {
+  struct alignas(64) StageSlot {
     bool staging = false;
     uint64_t base_off = 0;
     std::vector<uint8_t> buf;

@@ -1,5 +1,9 @@
 #include "src/wload/parallel_runner.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <chrono>
 #include <thread>
@@ -44,6 +48,35 @@ ThreadState* ShardBest(std::vector<ThreadState>& threads, uint32_t lo, uint32_t 
     }
   }
   return best;
+}
+
+// Moves the calling sharded worker onto the w-th CPU the process may use,
+// then restores its CPU mask. A new thread starts on its creator's CPU, and
+// some kernels (observed on 4-vCPU VMs) leave all workers stacked there for
+// hundreds of milliseconds, longer than a whole run; placing each worker
+// makes the run parallel from its first op. The scheduler may still move the
+// worker afterwards.
+void SpreadWorker(uint32_t w) {
+#if defined(__linux__)
+  cpu_set_t allowed;
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) != 0 || CPU_COUNT(&allowed) < 2) {
+    return;
+  }
+  int skip = static_cast<int>(w % static_cast<uint32_t>(CPU_COUNT(&allowed)));
+  for (int cpu = 0; cpu < CPU_SETSIZE; cpu++) {
+    if (CPU_ISSET(cpu, &allowed) && skip-- == 0) {
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+        sched_setaffinity(0, sizeof(allowed), &allowed);
+      }
+      return;
+    }
+  }
+#else
+  (void)w;
+#endif
 }
 
 // Runs one scheduler pick: up to `batch` ops of `ts`, mirroring SimRunner's
@@ -158,6 +191,7 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
     pool.reserve(workers);
     for (uint32_t w = 0; w < workers; w++) {
       pool.emplace_back([&, w]() {
+        SpreadWorker(w);
         StressRng rng(stress_seed_ + 0x9e3779b97f4a7c15ull * (w + 1));
         const uint32_t lo = shard_lo(w);
         const uint32_t hi = shard_lo(w + 1);
