@@ -138,7 +138,10 @@ class SnapDamageTest : public ::testing::Test {
   void SetUp() override {
     pmem::PmemDevice dev(4 * kMiB);
     ScribbleDevice(dev);
-    path_ = TempPath("damage.snap");
+    // One file per case: ctest runs the cases as concurrent processes.
+    path_ = TempPath(std::string("damage_") +
+                     ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+                     ".snap");
     ASSERT_TRUE(
         snap::SaveImage(path_, dev.Snapshot(), snap::ImageKind::kFilesystem, "test;dmg").ok());
   }
