@@ -4,10 +4,13 @@
 #ifndef BENCH_BENCH_UTIL_H_
 #define BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/aging/geriatrix.h"
@@ -156,6 +159,39 @@ inline bool AgeBed(TestBed& bed, double utilization, double write_multiplier,
                    uint64_t seed = 42) {
   common::ExecContext ctx;
   return AgeBedWithContext(bed, ctx, utilization, write_multiplier, seed);
+}
+
+// ---- host-parallel timing ---------------------------------------------------
+
+// One 1-worker and one 4-worker run of a host-parallel measurement.
+template <typename Result>
+struct SpeedupPair {
+  Result w1;
+  Result w4;
+  double speedup = 0;  // host wall time of w1 over w4
+};
+
+// Runs `pairs` alternating 1- and 4-worker measurements (`measure(workers)`),
+// requires `identical(w1, w4)` of every pair, and returns the pair with the
+// median speedup, where `wall_ns(result)` is a run's host wall time. A
+// 4-worker run lasts tens of milliseconds, so one host preemption would
+// otherwise decide the ratio. nullopt as soon as a pair is not identical.
+template <typename Measure, typename Identical, typename WallNs>
+auto MedianSpeedupPair(int pairs, Measure measure, Identical identical, WallNs wall_ns)
+    -> std::optional<SpeedupPair<decltype(measure(1u))>> {
+  std::vector<SpeedupPair<decltype(measure(1u))>> runs;
+  for (int i = 0; i < pairs; i++) {
+    SpeedupPair<decltype(measure(1u))> run{measure(1u), measure(4u)};
+    if (!identical(run.w1, run.w4)) {
+      return std::nullopt;
+    }
+    const double w4_ns = static_cast<double>(wall_ns(run.w4));
+    run.speedup = w4_ns == 0 ? 0.0 : static_cast<double>(wall_ns(run.w1)) / w4_ns;
+    runs.push_back(std::move(run));
+  }
+  std::sort(runs.begin(), runs.end(),
+            [](const auto& a, const auto& b) { return a.speedup < b.speedup; });
+  return std::move(runs[runs.size() / 2]);
 }
 
 // ---- table printing ---------------------------------------------------------
