@@ -8,22 +8,50 @@ namespace fscore {
 
 using common::kBlocksPerHugepage;
 
+namespace {
+
+// Whole 2 MiB-aligned regions inside the run [start, start + len).
+uint64_t AlignedRegionsIn(uint64_t start, uint64_t len) {
+  const uint64_t aligned = common::RoundUp(start, kBlocksPerHugepage);
+  return aligned < start + len ? (start + len - aligned) / kBlocksPerHugepage : 0;
+}
+
+}  // namespace
+
+void FreeSpaceMap::AddRun(uint64_t start, uint64_t len) {
+  free_blocks_ += len;
+  aligned_regions_ += AlignedRegionsIn(start, len);
+  run_lengths_[len]++;
+}
+
+void FreeSpaceMap::DropRun(uint64_t start, uint64_t len) {
+  free_blocks_ -= len;
+  aligned_regions_ -= AlignedRegionsIn(start, len);
+  const auto it = run_lengths_.find(len);
+  assert(it != run_lengths_.end());
+  if (--it->second == 0) {
+    run_lengths_.erase(it);
+  }
+}
+
 void FreeSpaceMap::Release(uint64_t start_block, uint64_t len) {
   if (len == 0) {
     return;
   }
-  free_blocks_ += len;
   auto next = free_.lower_bound(start_block);
   // Merge with predecessor.
   if (next != free_.begin()) {
     auto prev = std::prev(next);
     assert(prev->first + prev->second <= start_block && "double free");
     if (prev->first + prev->second == start_block) {
+      DropRun(prev->first, prev->second);
       prev->second += len;
       if (next != free_.end() && prev->first + prev->second == next->first) {
+        DropRun(next->first, next->second);
         prev->second += next->second;
         free_.erase(next);
       }
+      AddRun(prev->first, prev->second);
       return;
     }
   }
@@ -31,13 +59,15 @@ void FreeSpaceMap::Release(uint64_t start_block, uint64_t len) {
   if (next != free_.end()) {
     assert(start_block + len <= next->first && "double free");
     if (start_block + len == next->first) {
+      DropRun(next->first, next->second);
       const uint64_t merged_len = len + next->second;
-      free_.erase(next);
-      free_[start_block] = merged_len;
+      free_.emplace_hint(free_.erase(next), start_block, merged_len);
+      AddRun(start_block, merged_len);
       return;
     }
   }
-  free_[start_block] = len;
+  free_.emplace_hint(next, start_block, len);
+  AddRun(start_block, len);
 }
 
 void FreeSpaceMap::Take(std::map<uint64_t, uint64_t>::iterator it, uint64_t offset_in_run,
@@ -45,15 +75,20 @@ void FreeSpaceMap::Take(std::map<uint64_t, uint64_t>::iterator it, uint64_t offs
   const uint64_t run_start = it->first;
   const uint64_t run_len = it->second;
   assert(offset_in_run + len <= run_len);
-  free_.erase(it);
+  const uint64_t tail_start = run_start + offset_in_run + len;
+  const uint64_t tail = run_start + run_len - tail_start;
+  DropRun(run_start, run_len);
+  const auto next = std::next(it);
   if (offset_in_run > 0) {
-    free_[run_start] = offset_in_run;
+    it->second = offset_in_run;
+    AddRun(run_start, offset_in_run);
+  } else {
+    free_.erase(it);
   }
-  const uint64_t tail = run_len - offset_in_run - len;
   if (tail > 0) {
-    free_[run_start + offset_in_run + len] = tail;
+    free_.emplace_hint(next, tail_start, tail);
+    AddRun(tail_start, tail);
   }
-  free_blocks_ -= len;
 }
 
 void FreeSpaceMap::ReserveRange(uint64_t start_block, uint64_t len) {
@@ -105,17 +140,14 @@ std::optional<Extent> FreeSpaceMap::AllocFirstFitPreferAligned(uint64_t len, uin
 }
 
 std::optional<Extent> FreeSpaceMap::AllocBestFit(uint64_t len) {
-  auto best = free_.end();
-  for (auto it = free_.begin(); it != free_.end(); ++it) {
-    if (it->second >= len && (best == free_.end() || it->second < best->second)) {
-      best = it;
-      if (best->second == len) {
-        break;
-      }
-    }
-  }
-  if (best == free_.end()) {
+  // The smallest run length that fits; its lowest-addressed run is the fit.
+  const auto fit = run_lengths_.lower_bound(len);
+  if (fit == run_lengths_.end()) {
     return std::nullopt;
+  }
+  auto best = free_.begin();
+  while (best->second != fit->first) {
+    ++best;
   }
   const Extent ext{best->first, len};
   Take(best, 0, len);
@@ -159,37 +191,17 @@ bool FreeSpaceMap::ContainsRange(uint64_t start_block, uint64_t len) const {
   return start_block >= it->first && start_block + len <= it->first + it->second;
 }
 
-uint64_t FreeSpaceMap::CountAlignedFreeRegions() const {
-  uint64_t count = 0;
-  for (const auto& [start, len] : free_) {
-    const uint64_t aligned = common::RoundUp(start, kBlocksPerHugepage);
-    if (aligned + kBlocksPerHugepage <= start + len) {
-      count += (start + len - aligned) / kBlocksPerHugepage;
-    }
-  }
-  return count;
-}
-
-uint64_t FreeSpaceMap::LargestRun() const {
-  uint64_t largest = 0;
-  for (const auto& [start, len] : free_) {
-    largest = std::max(largest, len);
-  }
-  return largest;
-}
-
 FreeSpaceMap::RunLengthHistogram FreeSpaceMap::RunHistogram() const {
   RunLengthHistogram hist;
-  for (const auto& [start, len] : free_) {
-    (void)start;
+  for (const auto& [len, runs] : run_lengths_) {
     if (len < 16) {
-      hist.lt_16++;
+      hist.lt_16 += runs;
     } else if (len < 128) {
-      hist.lt_128++;
+      hist.lt_128 += runs;
     } else if (len < 512) {
-      hist.lt_512++;
+      hist.lt_512 += runs;
     } else {
-      hist.ge_512++;
+      hist.ge_512 += runs;
     }
   }
   return hist;

@@ -1,6 +1,8 @@
 // Free-space tracking: an address-ordered map of free extents with merging on
 // release, plus the allocation disciplines the different filesystems use
-// (first-fit from a goal, best-fit by size, aligned carve-out).
+// (first-fit from a goal, best-fit by size, aligned carve-out). The statistics
+// StatFs reports (free blocks, 2 MiB-aligned free regions, largest run) are
+// kept current where runs change, so reading them never walks the map.
 #ifndef SRC_FS_FSCORE_FREE_SPACE_MAP_H_
 #define SRC_FS_FSCORE_FREE_SPACE_MAP_H_
 
@@ -46,8 +48,10 @@ class FreeSpaceMap {
   bool ContainsRange(uint64_t start_block, uint64_t len) const;
 
   uint64_t free_blocks() const { return free_blocks_; }
-  uint64_t CountAlignedFreeRegions() const;
-  uint64_t LargestRun() const;
+  uint64_t CountAlignedFreeRegions() const { return aligned_regions_; }
+  uint64_t LargestRun() const {
+    return run_lengths_.empty() ? 0 : run_lengths_.rbegin()->first;
+  }
 
   // Coarse histogram of free-run lengths, the fragmentation fingerprint the
   // gauge probes export: runs shorter than 16 blocks (64 KiB) are unusable
@@ -72,9 +76,16 @@ class FreeSpaceMap {
 
  private:
   void Take(std::map<uint64_t, uint64_t>::iterator it, uint64_t offset_in_run, uint64_t len);
+  // Statistics bookkeeping for one run entering or leaving free_. Every
+  // change to free_ pairs a DropRun of each run it removes or shrinks with an
+  // AddRun of each run it creates or grows.
+  void AddRun(uint64_t start, uint64_t len);
+  void DropRun(uint64_t start, uint64_t len);
 
-  std::map<uint64_t, uint64_t> free_;  // start -> len, disjoint, merged
+  std::map<uint64_t, uint64_t> free_;         // start -> len, disjoint, merged
+  std::map<uint64_t, uint64_t> run_lengths_;  // run length -> runs of that length
   uint64_t free_blocks_ = 0;
+  uint64_t aligned_regions_ = 0;  // whole 2 MiB-aligned regions inside runs
 };
 
 }  // namespace fscore

@@ -1002,8 +1002,7 @@ Result<uint64_t> GenericFs::EnsureBlocks(ExecContext& ctx, Inode& inode, uint64_
         // writes no bytes here. Shadow that guarantee by scrubbing the
         // recycled bytes cost-free — the zeroing cost is charged at fault
         // time (§5.4), and reads must never see a previous file's data.
-        const std::vector<uint8_t> zeros(ext.num_blocks * kBlockSize, 0);
-        device_->StoreUncharged(ext.phys_block * kBlockSize, zeros.data(), zeros.size());
+        device_->ScrubUncharged(ext.phys_block * kBlockSize, ext.num_blocks * kBlockSize);
       }
       logical += ext.num_blocks;
       newly_allocated += ext.num_blocks;

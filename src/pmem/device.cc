@@ -279,6 +279,17 @@ void PmemDevice::StoreUncharged(uint64_t offset, const void* src, uint64_t len) 
   }
 }
 
+void PmemDevice::ScrubUncharged(uint64_t offset, uint64_t len) {
+  assert(offset + len <= data_.size());
+  Touch(offset, len);
+  NoteStoreFaults(offset, len);
+  std::memset(data_.data() + offset, 0, len);
+  if (crash_tracking_) {
+    std::lock_guard<std::mutex> guard(crash_mu_);
+    std::memset(persistent_.data() + offset, 0, len);
+  }
+}
+
 void PmemDevice::EnableCrashTracking() {
   MaterializeAll();
   std::lock_guard<std::mutex> guard(crash_mu_);

@@ -169,6 +169,14 @@ class PmemDevice {
   // crash-consistency tests only target filesystems that avoid this path.
   void StoreUncharged(uint64_t offset, const void* src, uint64_t len);
 
+  // Zeroes [offset, offset+len) in place with no time/counter charge, treated
+  // as immediately persistent (the crash-tracking persistent image is zeroed
+  // too). This is the one legitimate uncharged data write: zero-on-fault
+  // filesystems scrub recycled blocks at allocation so reads never see a
+  // previous file's bytes, and charge the zeroing when a fault or write
+  // converts the unwritten extent (§5.4).
+  void ScrubUncharged(uint64_t offset, uint64_t len);
+
   // --- Fault injection ---------------------------------------------------
 
   // Attaches a fault plan (not owned; nullptr detaches). Poisoned blocks,

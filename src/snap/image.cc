@@ -63,30 +63,32 @@ class Writer {
   std::vector<uint8_t> buf_;
 };
 
+// Reads header fields and chunk records straight from the file, so a load
+// never holds more than the image buffer itself.
 class Reader {
  public:
-  Reader(const uint8_t* data, uint64_t len) : data_(data), len_(len) {}
+  explicit Reader(std::FILE* f) : f_(f) {}
 
   bool U32(uint32_t* v) { return Raw(v, sizeof(*v)); }
   bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool Raw(void* out, uint64_t len) {
-    if (pos_ + len > len_) {
-      return false;
-    }
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-  uint64_t pos() const { return pos_; }
+  bool Raw(void* out, uint64_t len) { return std::fread(out, 1, len, f_) == len; }
 
  private:
-  const uint8_t* data_;
-  uint64_t len_;
-  uint64_t pos_ = 0;
+  std::FILE* f_;
 };
 
+// Scans a word at a time; a chunk holding data usually exits on its first
+// words, so only all-zero chunks are read in full.
 bool AllZero(const uint8_t* data, uint64_t len) {
-  for (uint64_t i = 0; i < len; i++) {
+  uint64_t i = 0;
+  for (; i + sizeof(uint64_t) <= len; i += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, sizeof(word));
+    if (word != 0) {
+      return false;
+    }
+  }
+  for (; i < len; i++) {
     if (data[i] != 0) {
       return false;
     }
@@ -173,7 +175,6 @@ Status ParseHeader(Reader& r, ImageInfo* info) {
   if (!r.Raw(info->provenance.data(), prov_len)) {
     return Status(ErrorCode::kIoError);
   }
-  const uint64_t header_end = r.pos();
   uint64_t stored_csum = 0;
   if (!r.U64(&stored_csum)) {
     return Status(ErrorCode::kIoError);
@@ -181,7 +182,6 @@ Status ParseHeader(Reader& r, ImageInfo* info) {
   // Re-serialize what we parsed and compare checksums; this also catches any
   // header field the parser accepted but a bit flip altered.
   const std::vector<uint8_t> rebuilt = BuildHeader(*info);
-  (void)header_end;
   if (Fnv1a(rebuilt.data(), rebuilt.size()) != stored_csum) {
     return Status(ErrorCode::kCorrupt);
   }
@@ -220,14 +220,16 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
   info.numa_nodes = snap.numa_nodes;
   info.model = snap.model;
   info.provenance = provenance;
-  info.stored_chunks = 0;
+  // One zero scan: the header needs the stored-chunk count up front.
+  std::vector<uint64_t> stored;
   for (uint64_t c = 0; c < chunks; c++) {
     const uint64_t off = c * pmem::kSnapChunkBytes;
     const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
     if (!AllZero(bytes.data() + off, len)) {
-      info.stored_chunks++;
+      stored.push_back(c);
     }
   }
+  info.stored_chunks = stored.size();
 
   const std::string tmp = path + ".tmp";
   FilePtr f(std::fopen(tmp.c_str(), "wb"));
@@ -241,12 +243,9 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
     std::remove(tmp.c_str());
     return Status(ErrorCode::kIoError);
   }
-  for (uint64_t c = 0; c < chunks; c++) {
+  for (const uint64_t c : stored) {
     const uint64_t off = c * pmem::kSnapChunkBytes;
     const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
-    if (AllZero(bytes.data() + off, len)) {
-      continue;
-    }
     const uint64_t csum = Fnv1a(bytes.data() + off, len);
     if (std::fwrite(&c, 1, sizeof(c), f.get()) != sizeof(c) ||
         std::fwrite(&csum, 1, sizeof(csum), f.get()) != sizeof(csum) ||
@@ -272,19 +271,7 @@ common::Result<LoadedImage> LoadImage(const std::string& path) {
   if (f == nullptr) {
     return Status(ErrorCode::kIoError);
   }
-  std::fseek(f.get(), 0, SEEK_END);
-  const long fsize = std::ftell(f.get());
-  std::fseek(f.get(), 0, SEEK_SET);
-  if (fsize < 0) {
-    return Status(ErrorCode::kIoError);
-  }
-  std::vector<uint8_t> file(static_cast<uint64_t>(fsize));
-  if (!file.empty() && std::fread(file.data(), 1, file.size(), f.get()) != file.size()) {
-    return Status(ErrorCode::kIoError);
-  }
-  f.reset();
-
-  Reader r(file.data(), file.size());
+  Reader r(f.get());
   LoadedImage out;
   RETURN_IF_ERROR(ParseHeader(r, &out.info));
 
@@ -321,11 +308,7 @@ common::Result<ImageInfo> ReadImageInfo(const std::string& path) {
   if (f == nullptr) {
     return Status(ErrorCode::kIoError);
   }
-  // Headers are small; 256 KiB comfortably covers the max provenance length.
-  std::vector<uint8_t> buf(256 * 1024);
-  const size_t n = std::fread(buf.data(), 1, buf.size(), f.get());
-  f.reset();
-  Reader r(buf.data(), n);
+  Reader r(f.get());
   ImageInfo info;
   RETURN_IF_ERROR(ParseHeader(r, &info));
   return info;

@@ -5,9 +5,11 @@
 
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 
 #include "src/common/units.h"
+#include "src/fs/fscore/generic_fs.h"
 #include "src/fs/registry.h"
 
 namespace {
@@ -367,6 +369,62 @@ TEST_P(FsPosixTest, EnospcSurfacedAndRecoverable) {
   auto fd = fs_->Open(ctx_, "/retry", vfs::OpenFlags::Create());
   ASSERT_TRUE(fd.ok());
   EXPECT_TRUE(fs_->Fallocate(ctx_, *fd, 0, 4 * kMiB).ok());
+}
+
+// ext4-DAX is zero-on-fault: it scrubs recycled blocks at allocation without
+// a charge and bills the zeroing when a fault or write converts the extent.
+// The scrub must reach the crash-tracking persistent image too, or a crash
+// state would bring back the previous file's bytes.
+TEST(ZeroOnFaultScrubTest, RecycledBlocksReadAndPersistAsZeros) {
+  constexpr uint64_t kFileBytes = 1 * kMiB;
+  pmem::PmemDevice dev(64 * kMiB);
+  auto fs = fsreg::Create("ext4-dax", &dev);
+  auto* generic = dynamic_cast<fscore::GenericFs*>(fs.get());
+  ASSERT_NE(generic, nullptr);
+  ExecContext ctx;
+  ASSERT_TRUE(fs->Mkfs(ctx).ok());
+  const auto blocks_of = [&](int fd) {
+    std::set<uint64_t> blocks;
+    const fscore::Inode* inode = generic->FindInode(*fs->InodeOf(ctx, fd));
+    for (const auto& [logical, ext] : inode->extents.Entries()) {
+      for (uint64_t b = ext.phys_block; b < ext.end(); b++) {
+        blocks.insert(b);
+      }
+    }
+    return blocks;
+  };
+
+  auto old_fd = fs->Open(ctx, "/old", vfs::OpenFlags::Create());
+  ASSERT_TRUE(old_fd.ok());
+  const std::vector<uint8_t> junk(kFileBytes, 0xab);
+  ASSERT_TRUE(fs->Pwrite(ctx, *old_fd, junk.data(), junk.size(), 0).ok());
+  const std::set<uint64_t> old_blocks = blocks_of(*old_fd);
+  ASSERT_TRUE(fs->Close(ctx, *old_fd).ok());
+  ASSERT_TRUE(fs->Unlink(ctx, "/old").ok());
+
+  dev.EnableCrashTracking();  // the persistent image still holds the 0xab bytes
+  auto new_fd = fs->Open(ctx, "/new", vfs::OpenFlags::Create());
+  ASSERT_TRUE(new_fd.ok());
+  ASSERT_TRUE(fs->Fallocate(ctx, *new_fd, 0, kFileBytes).ok());
+  const std::set<uint64_t> new_blocks = blocks_of(*new_fd);
+  ASSERT_EQ(new_blocks.size(), kFileBytes / kBlockSize);
+  uint64_t reused = 0;
+  for (const uint64_t b : new_blocks) {
+    reused += old_blocks.count(b);
+  }
+  ASSERT_GT(reused, 0u) << "the new file must reuse the unlinked file's blocks";
+
+  std::vector<uint8_t> got(kFileBytes, 0xff);
+  auto n = fs->Pread(ctx, *new_fd, got.data(), got.size(), 0);
+  ASSERT_TRUE(n.ok());
+  ASSERT_EQ(*n, kFileBytes);
+  EXPECT_EQ(got, std::vector<uint8_t>(kFileBytes, 0));
+  const std::vector<uint8_t> persistent = dev.PersistentImage();
+  for (const uint64_t b : new_blocks) {
+    const uint8_t* block = persistent.data() + b * kBlockSize;
+    EXPECT_EQ(std::vector<uint8_t>(block, block + kBlockSize), std::vector<uint8_t>(kBlockSize, 0))
+        << "persistent image of block " << b;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllFilesystems, FsPosixTest,

@@ -1,6 +1,11 @@
 // Unit tests for fscore building blocks: ExtentMap and FreeSpaceMap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/fs/fscore/extent.h"
 #include "src/fs/fscore/free_space_map.h"
@@ -140,6 +145,145 @@ TEST(FreeSpaceMapTest, CountAlignedFreeRegions) {
   EXPECT_EQ(map.CountAlignedFreeRegions(), 3u);
   map.ReserveRange(512, 1);  // puncture the middle chunk
   EXPECT_EQ(map.CountAlignedFreeRegions(), 2u);
+}
+
+// The statistics FreeSpaceMap keeps incrementally, recounted from runs().
+// Also checks that the runs are disjoint and fully merged.
+struct RecountedStats {
+  uint64_t free_blocks = 0;
+  uint64_t aligned_regions = 0;
+  uint64_t largest_run = 0;
+  FreeSpaceMap::RunLengthHistogram hist;
+};
+
+RecountedStats Recount(const FreeSpaceMap& map) {
+  RecountedStats stats;
+  uint64_t prev_end = 0;
+  bool first = true;
+  for (const auto& [start, len] : map.runs()) {
+    EXPECT_GT(len, 0u);
+    EXPECT_TRUE(first || start > prev_end) << "runs at " << start << " not merged";
+    first = false;
+    prev_end = start + len;
+    stats.free_blocks += len;
+    stats.largest_run = std::max(stats.largest_run, len);
+    for (uint64_t b = common::RoundUp(start, common::kBlocksPerHugepage);
+         b + common::kBlocksPerHugepage <= start + len; b += common::kBlocksPerHugepage) {
+      stats.aligned_regions++;
+    }
+    if (len < 16) {
+      stats.hist.lt_16++;
+    } else if (len < 128) {
+      stats.hist.lt_128++;
+    } else if (len < 512) {
+      stats.hist.lt_512++;
+    } else {
+      stats.hist.ge_512++;
+    }
+  }
+  return stats;
+}
+
+// Seeded random Release / Alloc* / ReserveRange calls. After every call the
+// incrementally kept statistics must equal a brute-force recount, and
+// AllocBestFit (which searches by the run-length index) must pick the run a
+// scan of runs() picks: the lowest-addressed of the smallest runs that fit.
+TEST(FreeSpaceMapTest, IncrementalStatisticsMatchRecount) {
+  constexpr uint64_t kBase = 37;  // unaligned start exercises the 2 MiB math
+  constexpr uint64_t kBlocks = 16 * common::kBlocksPerHugepage + 300;
+  constexpr int kCalls = 120000;
+  common::Rng rng(0x5eed);
+  FreeSpaceMap map;
+  map.Release(kBase, kBlocks);
+  std::vector<Extent> owned;  // taken from the map and not yet released
+
+  uint64_t aligned_changes = 0;  // calls that changed the aligned-region count
+  uint64_t last_aligned = map.CountAlignedFreeRegions();
+  bool draining = false;
+  for (int call = 0; call < kCalls; call++) {
+    // Alternate between fragmenting the map down to a quarter free and
+    // draining it back to one whole run.
+    if (map.free_blocks() < kBlocks / 4) {
+      draining = true;
+    } else if (owned.empty()) {
+      draining = false;
+    }
+    const uint64_t op = rng.NextBelow(100);
+    const uint64_t len = rng.NextBool(0.2) ? 1 + rng.NextBelow(2 * common::kBlocksPerHugepage)
+                                           : 1 + rng.NextBelow(64);
+    const uint64_t goal = kBase + rng.NextBelow(kBlocks);
+    std::optional<Extent> got;
+    if (!owned.empty() && rng.NextBool(draining ? 0.95 : 0.3)) {
+      // Release all or part of an owned extent; the rest stays owned.
+      const size_t idx = rng.NextBelow(owned.size());
+      Extent& ext = owned[idx];
+      const uint64_t off = rng.NextBool(0.5) ? 0 : rng.NextBelow(ext.num_blocks);
+      const uint64_t n = 1 + rng.NextBelow(ext.num_blocks - off);
+      map.Release(ext.phys_block + off, n);
+      const Extent tail{ext.phys_block + off + n, ext.num_blocks - off - n};
+      ext.num_blocks = off;
+      if (tail.num_blocks > 0) {
+        owned.push_back(tail);
+      }
+      if (owned[idx].num_blocks == 0) {
+        owned[idx] = owned.back();
+        owned.pop_back();
+      }
+    } else if (op < 20) {
+      std::optional<Extent> expect;
+      for (const auto& [start, run_len] : map.runs()) {
+        if (run_len >= len && (!expect || run_len < expect->num_blocks)) {
+          expect = Extent{start, run_len};
+        }
+      }
+      got = map.AllocBestFit(len);
+      ASSERT_EQ(got.has_value(), expect.has_value());
+      if (got) {
+        EXPECT_EQ(got->phys_block, expect->phys_block);
+      }
+    } else if (op < 50) {
+      got = map.AllocFirstFit(len, goal);
+    } else if (op < 65) {
+      got = map.AllocFirstFitPreferAligned(len, goal);
+    } else if (op < 75) {
+      got = map.AllocAligned(std::min<uint64_t>(len, common::kBlocksPerHugepage));
+    } else if (op < 90) {
+      got = map.AllocAny(len);
+    } else if (!map.runs().empty()) {
+      // Reserve a random piece of a random free run.
+      auto it = map.runs().begin();
+      std::advance(it, rng.NextBelow(map.runs().size()));
+      const uint64_t off = rng.NextBelow(it->second);
+      const Extent piece{it->first + off, 1 + rng.NextBelow(it->second - off)};
+      map.ReserveRange(piece.phys_block, piece.num_blocks);
+      got = piece;
+    }
+    if (got) {
+      ASSERT_GT(got->num_blocks, 0u);
+      EXPECT_FALSE(map.ContainsRange(got->phys_block, 1));
+      owned.push_back(*got);
+    }
+
+    const RecountedStats want = Recount(map);
+    aligned_changes += want.aligned_regions != last_aligned ? 1 : 0;
+    last_aligned = want.aligned_regions;
+    ASSERT_EQ(map.free_blocks(), want.free_blocks) << "after call " << call;
+    ASSERT_EQ(map.CountAlignedFreeRegions(), want.aligned_regions) << "after call " << call;
+    ASSERT_EQ(map.LargestRun(), want.largest_run) << "after call " << call;
+    const FreeSpaceMap::RunLengthHistogram hist = map.RunHistogram();
+    ASSERT_EQ(hist.lt_16, want.hist.lt_16) << "after call " << call;
+    ASSERT_EQ(hist.lt_128, want.hist.lt_128) << "after call " << call;
+    ASSERT_EQ(hist.lt_512, want.hist.lt_512) << "after call " << call;
+    ASSERT_EQ(hist.ge_512, want.hist.ge_512) << "after call " << call;
+  }
+  // Every block is either free or owned, exactly once.
+  uint64_t owned_blocks = 0;
+  for (const Extent& ext : owned) {
+    owned_blocks += ext.num_blocks;
+  }
+  EXPECT_EQ(owned_blocks + map.free_blocks(), kBlocks);
+  // The aligned-region count moved often, not only in the first calls.
+  EXPECT_GT(aligned_changes, kCalls / 100);
 }
 
 TEST(PmFormatTest, StructSizes) {

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -153,7 +154,47 @@ class SnapDamageTest : public ::testing::Test {
     f.write(reinterpret_cast<const char*>(&value), 1);
   }
 
+  // Reads the saved image and checks its v1 layout: a 172-byte fixed header
+  // around the provenance string, then one {u64 index, u64 FNV-1a, payload}
+  // record per stored chunk (four here, all full chunks).
+  void ReadLayout() {
+    std::ifstream in(path_, std::ios::binary);
+    image_.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    auto info = snap::ReadImageInfo(path_);
+    ASSERT_TRUE(info.ok());
+    stored_chunks_ = info->stored_chunks;
+    header_bytes_ = 172 + info->provenance.size();
+    ASSERT_GE(stored_chunks_, 2u);
+    ASSERT_EQ(image_.size(),
+              header_bytes_ + stored_chunks_ * (kRecordHead + pmem::kSnapChunkBytes));
+  }
+
+  // Loads the image cut to its first `cut` bytes: always kIoError, and a cut
+  // inside the header also fails the header-only probe.
+  void ExpectCutIsIoError(uint64_t cut) {
+    SCOPED_TRACE("cut at byte " + std::to_string(cut));
+    ASSERT_LT(cut, image_.size());
+    const std::string cut_path = path_ + ".cut";
+    {
+      std::ofstream out(cut_path, std::ios::binary | std::ios::trunc);
+      out.write(image_.data(), static_cast<std::streamsize>(cut));
+    }
+    auto loaded = snap::LoadImage(cut_path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), ErrorCode::kIoError);
+    if (cut < header_bytes_) {
+      auto info = snap::ReadImageInfo(cut_path);
+      ASSERT_FALSE(info.ok());
+      EXPECT_EQ(info.status().code(), ErrorCode::kIoError);
+    }
+    std::remove(cut_path.c_str());
+  }
+
+  static constexpr uint64_t kRecordHead = 2 * sizeof(uint64_t);
   std::string path_;
+  std::vector<char> image_;
+  uint64_t stored_chunks_ = 0;
+  uint64_t header_bytes_ = 0;
 };
 
 TEST_F(SnapDamageTest, BadMagicIsCorrupt) {
@@ -184,6 +225,40 @@ TEST_F(SnapDamageTest, TruncatedFileIsIoError) {
   auto loaded = snap::LoadImage(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), ErrorCode::kIoError);
+}
+
+TEST_F(SnapDamageTest, TruncatedAtEveryHeaderFieldIsIoError) {
+  ASSERT_NO_FATAL_FAILURE(ReadLayout());
+  // magic, version, kind, device_bytes, chunk_bytes, numa_nodes,
+  // stored_chunks, cost-field count, 14 cost fields, provenance length.
+  std::vector<uint64_t> cuts = {0, 8, 12, 16, 24, 32, 36, 44};
+  for (uint64_t field = 0; field <= 14; field++) {
+    cuts.push_back(48 + 8 * field);
+  }
+  cuts.push_back(164);                // provenance bytes
+  cuts.push_back(header_bytes_ - 8);  // header checksum
+  cuts.push_back(header_bytes_);      // first chunk record
+  cuts.push_back(3);                  // and cuts inside two fields
+  cuts.push_back(header_bytes_ - 3);
+  for (const uint64_t cut : cuts) {
+    ExpectCutIsIoError(cut);
+  }
+}
+
+TEST_F(SnapDamageTest, TruncatedInsideEveryChunkRecordIsIoError) {
+  ASSERT_NO_FATAL_FAILURE(ReadLayout());
+  for (uint64_t rec = 0; rec < stored_chunks_; rec++) {
+    const uint64_t start = header_bytes_ + rec * (kRecordHead + pmem::kSnapChunkBytes);
+    const uint64_t payload = start + kRecordHead;
+    // The record's start, inside its index, between index and checksum,
+    // inside the checksum, at the payload; then one byte into, mid-way
+    // through and one byte short of the payload.
+    for (const uint64_t cut :
+         {start, start + 3, start + 8, start + 13, payload, payload + 1,
+          payload + pmem::kSnapChunkBytes / 2, payload + pmem::kSnapChunkBytes - 1}) {
+      ExpectCutIsIoError(cut);
+    }
+  }
 }
 
 TEST_F(SnapDamageTest, FlippedHeaderByteIsCorrupt) {
