@@ -100,8 +100,8 @@ void SyscallRows(const std::string& fs_name, obs::BenchReport& report) {
   // Each measurement builds its whole op stream (data op per index, fsync
   // after every 10th) as one OpBatch and replays it through ExecuteBatch:
   // same ops in the same order as the old scalar loop, so the modeled clock
-  // is unchanged, but filesystems with a native batched path (WineFS,
-  // ext4-DAX) run it at host speed with journal group-commit coalescing.
+  // is unchanged, and filesystems with a native batched path (WineFS,
+  // ext4-DAX) run it under one lock hold with a memo of resolved paths.
   auto run_ops = [&](auto&& append_op) {
     vfs::OpBatch batch;
     batch.Reserve(kSyscallOps + kSyscallOps / 10);

@@ -47,7 +47,7 @@ ScalePoint MeasureKops(const std::string& fs_name, uint32_t threads,
   // The whole per-op syscall sequence rides as one fd-chained OpBatch: the
   // appends, fsync, and close reference the open's descriptor via
   // FdRef::From, so filesystems with a native ExecuteBatch (WineFS,
-  // ext4-DAX) coalesce the journal work while the modeled timeline stays
+  // ext4-DAX) run it under one lock hold while the modeled timeline stays
   // identical to the scalar calls.
   auto op = [&](uint32_t tid, uint64_t i, ExecContext& ctx) -> bool {
     const std::string path = "/t" + std::to_string(tid) + "/f" + std::to_string(i);

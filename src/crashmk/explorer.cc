@@ -7,6 +7,7 @@
 #include "src/common/units.h"
 #include "src/pmem/fault_injector.h"
 #include "src/snap/image.h"
+#include "src/vfs/op_batch.h"
 
 namespace crashmk {
 
@@ -52,42 +53,59 @@ Status Explorer::ApplyOp(ExecContext& ctx, vfs::FileSystem& fs, const CrashOp& o
   for (size_t i = 0; i < payload.size(); i++) {
     payload[i] = static_cast<uint8_t>(0x40 + (i % 61));
   }
+  // Each op runs as one fd-chained batch through ExecuteBatch, the entry
+  // point the benches drive: a create is open + close, and a data op opens
+  // the file, acts on the batch's descriptor and closes it.
+  vfs::OpBatch batch;
+  const auto open = [&](vfs::OpenFlags flags) {
+    return vfs::FdRef::From(batch.Open(op.path, flags));
+  };
   switch (op.kind) {
-    case CrashOp::Kind::kCreate: {
-      ASSIGN_OR_RETURN(const int fd, fs.Open(ctx, op.path, vfs::OpenFlags::CreateExcl()));
-      return fs.Close(ctx, fd);
-    }
+    case CrashOp::Kind::kCreate:
+      batch.Close(open(vfs::OpenFlags::CreateExcl()));
+      break;
     case CrashOp::Kind::kAppend: {
-      ASSIGN_OR_RETURN(const int fd, fs.Open(ctx, op.path, vfs::OpenFlags{}));
-      auto n = fs.Append(ctx, fd, payload.data(), payload.size());
-      (void)fs.Close(ctx, fd);
-      return n.ok() ? common::OkStatus() : n.status();
+      const vfs::FdRef fd = open(vfs::OpenFlags{});
+      batch.Append(fd, payload.data(), payload.size());
+      batch.Close(fd);
+      break;
     }
     case CrashOp::Kind::kPwrite: {
-      ASSIGN_OR_RETURN(const int fd, fs.Open(ctx, op.path, vfs::OpenFlags{}));
-      auto n = fs.Pwrite(ctx, fd, payload.data(), payload.size(), op.offset);
-      (void)fs.Close(ctx, fd);
-      return n.ok() ? common::OkStatus() : n.status();
+      const vfs::FdRef fd = open(vfs::OpenFlags{});
+      batch.Pwrite(fd, payload.data(), payload.size(), op.offset);
+      batch.Close(fd);
+      break;
     }
     case CrashOp::Kind::kUnlink:
-      return fs.Unlink(ctx, op.path);
+      batch.Unlink(op.path);
+      break;
     case CrashOp::Kind::kMkdir:
-      return fs.Mkdir(ctx, op.path);
+      batch.Mkdir(op.path);
+      break;
     case CrashOp::Kind::kRmdir:
-      return fs.Rmdir(ctx, op.path);
+      batch.Rmdir(op.path);
+      break;
     case CrashOp::Kind::kRename:
-      return fs.Rename(ctx, op.path, op.path2);
+      batch.Rename(op.path, op.path2);
+      break;
     case CrashOp::Kind::kTruncate: {
-      ASSIGN_OR_RETURN(const int fd, fs.Open(ctx, op.path, vfs::OpenFlags{}));
-      const Status status = fs.Ftruncate(ctx, fd, op.len);
-      (void)fs.Close(ctx, fd);
-      return status;
+      const vfs::FdRef fd = open(vfs::OpenFlags{});
+      batch.Ftruncate(fd, op.len);
+      batch.Close(fd);
+      break;
     }
     case CrashOp::Kind::kFallocate: {
-      ASSIGN_OR_RETURN(const int fd, fs.Open(ctx, op.path, vfs::OpenFlags{}));
-      const Status status = fs.Fallocate(ctx, fd, op.offset, op.len);
-      (void)fs.Close(ctx, fd);
-      return status;
+      const vfs::FdRef fd = open(vfs::OpenFlags{});
+      batch.Fallocate(fd, op.offset, op.len);
+      batch.Close(fd);
+      break;
+    }
+  }
+  std::vector<vfs::OpResult> results;
+  fs.ExecuteBatch(ctx, batch, results);
+  for (const vfs::OpResult& result : results) {
+    if (!result.ok()) {
+      return result.status;
     }
   }
   return common::OkStatus();
@@ -325,15 +343,14 @@ ExploreResult Explorer::RunWorkload(const Workload& workload) {
         constexpr size_t kMaxSampled = 96;
         const size_t stride = std::max<size_t>(1, eligible.size() / kMaxSampled);
         for (size_t i = 0; i < eligible.size(); i += stride) {
-          // The image is the prefix 0..i plus line i%64; since i%64 <= i the
-          // applied set is exactly the prefix, and the key is its XOR.
+          // The image applies exactly the prefix 0..i, and the key is the
+          // XOR of the prefix's deltas.
           uint64_t key = base_key;
           for (size_t p = 0; p <= i; p++) {
             key ^= delta[p];
           }
           judge_state(key, [&]() {
             std::vector<uint8_t> img = base;
-            apply_lines(img, eligible, 1ull << (i % 64));
             for (size_t p = 0; p <= i; p++) {
               std::memcpy(img.data() + eligible[p].line_offset, eligible[p].data,
                           common::kCacheline);

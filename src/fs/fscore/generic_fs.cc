@@ -63,6 +63,7 @@ GenericFs::GenericFs(pmem::PmemDevice* device, FsOptions options)
       dram_mu_(options.lock_domains) {
   fds_.resize(4096);
   path_memos_.resize(dram_mu_.domains());
+  inode_shards_ = std::vector<InodeShard>(dram_mu_.domains());
 }
 
 GenericFs::~GenericFs() = default;
@@ -180,7 +181,6 @@ Status GenericFs::Mkfs(ExecContext& ctx) {
   device_->Fence(ctx);
 
   ClearInodes();
-  free_inos_.clear();
   for (InodeNum ino = options_.max_inodes - 1; ino > kRootIno; ino--) {
     free_inos_.push_back(ino);
   }
@@ -271,7 +271,6 @@ Status GenericFs::Unmount(ExecContext& ctx) {
   ctx.clock.Advance(device_->cost().SeqWriteBytes(DramIndexBytes() / 16));
   mounted_ = false;
   ClearInodes();
-  free_inos_.clear();
   for (auto& fd : fds_) {
     fd = FdEntry{};
   }
@@ -320,7 +319,6 @@ Status GenericFs::LoadInodeFromPm(ExecContext& ctx, const PmInode& pm, Inode& in
 
 Status GenericFs::RebuildFromPm(ExecContext& ctx) {
   ClearInodes();
-  free_inos_.clear();
   std::vector<Extent> used;
 
   for (InodeNum ino = options_.max_inodes - 1; ino > 0; ino--) {
@@ -354,8 +352,8 @@ Status GenericFs::RebuildFromPm(ExecContext& ctx) {
     return Status(ErrorCode::kCorrupt);
   }
 
-  // Second pass: directory entries.
-  for (auto& [ino, inode] : inodes_) {
+  // Second pass: directory entries (InsertInode put every inode in shard 0).
+  for (auto& [ino, inode] : inode_shards_[0].inodes) {
     if (!inode->is_dir) {
       continue;
     }
@@ -639,38 +637,83 @@ Status GenericFs::RemoveDirent(ExecContext& ctx, Inode& dir, std::string_view na
 
 Inode* GenericFs::InsertInode(InodeNum ino, std::unique_ptr<Inode> inode) {
   Inode* raw = inode.get();
-  inodes_[ino] = std::move(inode);
+  raw->shard = 0;
+  inode_shards_[0].inodes[ino] = std::move(inode);
   inode_index_[ino].store(raw, std::memory_order_release);
   return raw;
 }
 
 void GenericFs::ClearInodes() {
-  inodes_.clear();
+  for (InodeShard& shard : inode_shards_) {
+    shard.inodes.clear();
+    shard.freed.clear();
+  }
+  free_inos_.clear();
   inode_index_ = std::vector<std::atomic<Inode*>>(options_.max_inodes);
   root_ = nullptr;
 }
 
-Result<Inode*> GenericFs::AdoptInode(std::unique_ptr<Inode> inode) {
-  std::lock_guard<common::SpinMutex> table_guard(table_mu_);
-  if (free_inos_.empty()) {
-    return ErrorCode::kNoSpace;
+InodeNum GenericFs::TakeFreeIno(uint32_t home) {
+  {
+    std::lock_guard<common::SpinMutex> table_guard(table_mu_);
+    if (!free_inos_.empty()) {
+      const InodeNum ino = free_inos_.back();
+      free_inos_.pop_back();
+      return ino;
+    }
   }
-  const InodeNum ino = free_inos_.back();
-  free_inos_.pop_back();
-  inode->ino = ino;
-  return InsertInode(ino, std::move(inode));
+  for (size_t i = 1; i < inode_shards_.size(); i++) {
+    InodeShard& other = inode_shards_[(home + i) % inode_shards_.size()];
+    std::lock_guard<common::SpinMutex> guard(other.mu);
+    if (!other.freed.empty()) {
+      const InodeNum ino = other.freed.back();
+      other.freed.pop_back();
+      return ino;
+    }
+  }
+  return 0;
 }
 
-void GenericFs::DropInode(InodeNum ino) {
-  std::unique_ptr<Inode> dead;  // destroyed after table_guard releases
-  std::lock_guard<common::SpinMutex> table_guard(table_mu_);
-  auto it = inodes_.find(ino);
-  if (it != inodes_.end()) {
-    inode_index_[ino].store(nullptr, std::memory_order_release);
-    dead = std::move(it->second);
-    inodes_.erase(it);
+Result<Inode*> GenericFs::AdoptInode(std::unique_ptr<Inode> inode, uint32_t cpu) {
+  const uint32_t home = cpu % static_cast<uint32_t>(inode_shards_.size());
+  InodeShard& shard = inode_shards_[home];
+  InodeNum ino = 0;
+  {
+    std::lock_guard<common::SpinMutex> guard(shard.mu);
+    if (!shard.freed.empty()) {
+      ino = shard.freed.back();
+      shard.freed.pop_back();
+    }
   }
-  free_inos_.push_back(ino);
+  if (ino == 0) {
+    ino = TakeFreeIno(home);
+  }
+  if (ino == 0) {
+    return ErrorCode::kNoSpace;
+  }
+  Inode* const raw = inode.get();
+  raw->ino = ino;
+  raw->shard = home;
+  {
+    std::lock_guard<common::SpinMutex> guard(shard.mu);
+    shard.inodes[ino] = std::move(inode);
+  }
+  inode_index_[ino].store(raw, std::memory_order_release);
+  return raw;
+}
+
+void GenericFs::DropInode(InodeNum ino, uint32_t cpu) {
+  std::unique_ptr<Inode> dead;  // destroyed after the shard locks release
+  if (Inode* const node = inode_index_[ino].exchange(nullptr); node != nullptr) {
+    InodeShard& owner = inode_shards_[node->shard];
+    std::lock_guard<common::SpinMutex> guard(owner.mu);
+    auto it = owner.inodes.find(ino);
+    dead = std::move(it->second);
+    owner.inodes.erase(it);
+  }
+  InodeShard& home = inode_shards_[cpu % inode_shards_.size()];
+  std::lock_guard<common::SpinMutex> guard(home.mu);
+  home.freed.push_back(ino);
 }
 
 // --- Node creation/removal ------------------------------------------------------
@@ -684,14 +727,14 @@ Result<Inode*> GenericFs::CreateNode(ExecContext& ctx, Inode& parent, std::strin
   if (parent.aligned_hint && !is_dir) {
     inode->aligned_hint = true;
   }
-  ASSIGN_OR_RETURN(Inode* const raw, AdoptInode(std::move(inode)));
+  ASSIGN_OR_RETURN(Inode* const raw, AdoptInode(std::move(inode), ctx.cpu));
 
   TxBegin(ctx);
   PersistInode(ctx, *raw);
   const Status add = AddDirent(ctx, parent, name, *raw);
   if (!add.ok()) {
     TxCommit(ctx);
-    DropInode(raw->ino);
+    DropInode(raw->ino, ctx.cpu);
     return add;
   }
   if (is_dir) {
@@ -762,7 +805,7 @@ Status GenericFs::RemoveNode(ExecContext& ctx, Inode& parent, std::string_view n
     // inode must get a fresh lock, not this one about to be destroyed.
     const InodeNum ino = node->ino;
     inode_locks_.Drop(ino);
-    DropInode(ino);
+    DropInode(ino, ctx.cpu);
   } else {
     PersistInode(ctx, *node);
   }
@@ -800,10 +843,14 @@ Result<int> GenericFs::Open(ExecContext& ctx, const std::string& path, vfs::Open
       TxCommit(ctx);
     }
   }
+  return ClaimFd(node->ino, flags.write());
+}
+
+Result<int> GenericFs::ClaimFd(InodeNum ino, bool write) {
   std::lock_guard<common::SpinMutex> table_guard(table_mu_);
   for (size_t fd = 0; fd < fds_.size(); fd++) {
     if (!fds_[fd].in_use) {
-      fds_[fd] = FdEntry{node->ino, flags.write(), true};
+      fds_[fd] = FdEntry{ino, write, true};
       return static_cast<int>(fd);
     }
   }
@@ -814,6 +861,10 @@ Status GenericFs::Close(ExecContext& ctx, int fd) {
   ChargeSyscall(ctx);
   obs::OpScope op_scope(ctx, Name(), "close");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
+  return CloseHeld(fd);
+}
+
+Status GenericFs::CloseHeld(int fd) {
   std::lock_guard<common::SpinMutex> table_guard(table_mu_);
   if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() || !fds_[fd].in_use) {
     return Status(ErrorCode::kBadFd);
@@ -920,12 +971,16 @@ Result<vfs::StatInfo> GenericFs::Stat(ExecContext& ctx, const std::string& path)
   if (res->node == nullptr) {
     return ErrorCode::kNotFound;
   }
+  return StatOf(*res->node);
+}
+
+vfs::StatInfo GenericFs::StatOf(const Inode& node) {
   vfs::StatInfo info;
-  info.ino = res->node->ino;
-  info.size = res->node->size;
-  info.blocks = res->node->extents.MappedBlocks();
-  info.nlink = res->node->nlink;
-  info.is_dir = res->node->is_dir;
+  info.ino = node.ino;
+  info.size = node.size;
+  info.blocks = node.extents.MappedBlocks();
+  info.nlink = node.nlink;
+  info.is_dir = node.is_dir;
   return info;
 }
 
@@ -1109,6 +1164,11 @@ vfs::IoResult GenericFs::Pread(ExecContext& ctx, int fd, void* dst, uint64_t len
   ChargeSyscall(ctx);
   obs::OpScope op_scope(ctx, Name(), "pread");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
+  return PreadHeld(ctx, fd, dst, len, offset);
+}
+
+vfs::IoResult GenericFs::PreadHeld(ExecContext& ctx, int fd, void* dst, uint64_t len,
+                                   uint64_t offset) {
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
     return ErrorCode::kBadFd;
@@ -1150,6 +1210,10 @@ Status GenericFs::Fsync(ExecContext& ctx, int fd) {
   ChargeSyscall(ctx);
   obs::OpScope op_scope(ctx, Name(), "fsync");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
+  return FsyncHeld(ctx, fd);
+}
+
+Status GenericFs::FsyncHeld(ExecContext& ctx, int fd) {
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
     return Status(ErrorCode::kBadFd);
@@ -1372,19 +1436,23 @@ Result<vmem::FaultHandler::FaultMapping> GenericFs::HandleFault(ExecContext& ctx
 uint64_t GenericFs::DramIndexBytes() const {
   std::lock_guard<DomainMutex> guard(dram_mu_);
   uint64_t bytes = 0;
-  for (const auto& [ino, inode] : inodes_) {
+  ForEachInode([&bytes](const Inode& inode) {
     bytes += 128;  // base inode object
-    bytes += inode->dirents.size() * 64;
-    bytes += inode->extents.FragmentCount() * 48;
+    bytes += inode.dirents.size() * 64;
+    bytes += inode.extents.FragmentCount() * 48;
+  });
+  uint64_t free_inos = free_inos_.size();
+  for (const InodeShard& shard : inode_shards_) {
+    free_inos += shard.freed.size();
   }
-  bytes += free_inos_.size() * 8;
+  bytes += free_inos * 8;
   return bytes;
 }
 
 const Inode* GenericFs::FindInode(InodeNum ino) const {
   std::lock_guard<DomainMutex> guard(dram_mu_);
-  auto it = inodes_.find(ino);
-  return it == inodes_.end() ? nullptr : it->second.get();
+  return ino < inode_index_.size() ? inode_index_[ino].load(std::memory_order_acquire)
+                                   : nullptr;
 }
 
 }  // namespace fscore

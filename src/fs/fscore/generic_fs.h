@@ -115,6 +115,7 @@ struct TransparentStringHash {
 // rebuilt on mount.
 struct Inode {
   vfs::InodeNum ino = 0;
+  uint32_t shard = 0;  // the GenericFs inode-table shard that owns it
   bool is_dir = false;
   bool aligned_hint = false;
   uint64_t size = 0;
@@ -346,9 +347,10 @@ class GenericFs : public vfs::FileSystem {
   // Charges the syscall entry cost (trap + shared VFS path).
   void ChargeSyscall(common::ExecContext& ctx);
 
-  // Native batched-execution engine (generic_fs_batch.cc): runs the hot
-  // metadata kinds (stat/open/close/pread/fsync) through a path memo over
-  // the shared Resolve walker and falls back to DispatchScalarOp for
+  // Native batched-execution engine (generic_fs_batch.cc): holds the caller's
+  // dram_mu_ stripe once for the whole batch, runs stat and plain open
+  // through a path memo over the shared Resolve walker, calls the scalar
+  // bodies for close/pread/fsync, and falls back to DispatchScalarOp for
   // everything else — charge-for-charge identical to the scalar loop.
   // Subclasses opt in by overriding ExecuteBatch to call this.
   void ExecuteBatchNative(common::ExecContext& ctx, const vfs::OpBatch& batch,
@@ -357,10 +359,15 @@ class GenericFs : public vfs::FileSystem {
   // Builds a FreeSpaceMap of the whole data area (helper for rebuilds).
   FreeSpaceMap FullDataArea() const;
 
-  // Read-only view of the DRAM inode table for gauge probes (per-inode log
-  // occupancy and similar aggregates). Hold dram_mu_ while iterating.
-  const std::unordered_map<vfs::InodeNum, std::unique_ptr<Inode>>& inode_table() const {
-    return inodes_;
+  // Calls fn(const Inode&) for every inode of the DRAM table, for gauge
+  // probes (per-inode log occupancy and similar aggregates). Hold dram_mu_.
+  template <typename Fn>
+  void ForEachInode(Fn&& fn) const {
+    for (const InodeShard& shard : inode_shards_) {
+      for (const auto& entry : shard.inodes) {
+        fn(*entry.second);
+      }
+    }
   }
 
   // Emits a FreeSpaceMap run-length histogram as the four standard
@@ -416,6 +423,22 @@ class GenericFs : public vfs::FileSystem {
   common::Result<ResolveResult> Resolve(common::ExecContext& ctx, std::string_view path,
                                         bool want_parent);
 
+  // The work of Close, Pread and Fsync, shared with ExecuteBatchNative: the
+  // caller has charged the syscall, opened the op scope and holds
+  // dram_mu_.Stripe(ctx.cpu). The public calls open the scope before they
+  // take the stripe, as every scalar call does, so a closing scope that
+  // samples gauges (the sampler locks its mutex, then every stripe) never
+  // runs under a stripe.
+  common::Status CloseHeld(int fd);
+  vfs::IoResult PreadHeld(common::ExecContext& ctx, int fd, void* dst, uint64_t len,
+                          uint64_t offset);
+  common::Status FsyncHeld(common::ExecContext& ctx, int fd);
+  // The StatInfo of a resolved node, and the fd-table claim that ends every
+  // successful open (kNoSpace when the table is full); shared with the
+  // engine's stat and plain-open arms.
+  static vfs::StatInfo StatOf(const Inode& node);
+  common::Result<int> ClaimFd(vfs::InodeNum ino, bool write);
+
   common::Result<Inode*> CreateNode(common::ExecContext& ctx, Inode& parent,
                                     std::string_view name, bool is_dir);
   common::Status RemoveNode(common::ExecContext& ctx, Inode& parent, std::string_view name,
@@ -425,18 +448,25 @@ class GenericFs : public vfs::FileSystem {
   common::Status RemoveDirent(common::ExecContext& ctx, Inode& dir, std::string_view name);
   uint64_t DirentPmOffset(Inode& dir, uint64_t slot) const;
 
-  // The DRAM inode table is inodes_ (which owns the inodes) plus
+  // The DRAM inode table is inode_shards_ (which own the inodes) plus
   // inode_index_ (the same Inode* by inode number, so GetInode and
   // GetInodeByFd read it with an acquire load and take no lock). The two
-  // change only together, here: InsertInode and ClearInodes run alone (mkfs,
-  // mount, unmount) or under table_mu_; AdoptInode gives `inode` the next
-  // free inode number and inserts it (kNoSpace when none is left), and
-  // DropInode erases `ino`, returns its number to the free stack and
-  // destroys the Inode after releasing the lock, one table_mu_ hold each.
+  // change only together, here: InsertInode (into shard 0) and ClearInodes
+  // run alone (mkfs, mount, unmount). AdoptInode gives `inode` a free inode
+  // number and puts it in the shard of `cpu`'s lock domain (kNoSpace when no
+  // number is left); DropInode erases `ino` from its shard, returns its
+  // number to `cpu`'s shard and destroys the Inode after releasing the lock.
+  // A shard's CPUs reuse the numbers they freed before taking any other, the
+  // last freed first, so host workers on different CPUs neither share a lock
+  // nor bounce an inode's lines between them; with one lock domain this is
+  // the single last-freed-first stack it always was.
   Inode* InsertInode(vfs::InodeNum ino, std::unique_ptr<Inode> inode);
   void ClearInodes();
-  common::Result<Inode*> AdoptInode(std::unique_ptr<Inode> inode);
-  void DropInode(vfs::InodeNum ino);
+  common::Result<Inode*> AdoptInode(std::unique_ptr<Inode> inode, uint32_t cpu);
+  void DropInode(vfs::InodeNum ino, uint32_t cpu);
+  // A free inode number not held by `home`'s shard: the never-used stack
+  // first, then the other shards' freed numbers. 0 when none is left.
+  vfs::InodeNum TakeFreeIno(uint32_t home);
 
   void FreeFileBlocks(common::ExecContext& ctx, Inode& inode, uint64_t from_block);
 
@@ -486,20 +516,32 @@ class GenericFs : public vfs::FileSystem {
     uint32_t epoch_ = 1;
   };
 
-  Inode* root_ = nullptr;  // inodes_[kRootIno] while mounted
+  // One shard of the inode table per lock domain (indexed like dram_mu_
+  // stripes). Its spin lock guards both containers for their
+  // (host-nanosecond) critical sections, since stripes make dram_mu_ no
+  // longer mutually exclusive across CPUs; unordered_map node stability
+  // keeps handed-out Inode* valid afterwards. A line of its own per shard:
+  // host workers use adjacent shards.
+  struct alignas(64) InodeShard {
+    common::SpinMutex mu;
+    // The inodes adopted on this shard's CPUs (Inode::shard names it).
+    std::unordered_map<vfs::InodeNum, std::unique_ptr<Inode>> inodes;
+    // Numbers freed on this shard's CPUs, reused last freed first.
+    std::vector<vfs::InodeNum> freed;
+  };
+
+  Inode* root_ = nullptr;  // inode_index_[kRootIno] while mounted
   std::vector<PathMemo> path_memos_;  // indexed like dram_mu_ stripes
   std::vector<std::atomic<Inode*>> inode_index_;  // max_inodes entries
-  // Structural guard for the three shared tables below when lock domains > 1:
-  // stripes make dram_mu_ no longer mutually exclusive across CPUs, so map
-  // insert/erase/find, the free-ino stack, and fd slot claim/release take
-  // this spin lock for their (host-nanosecond) critical sections.
-  // unordered_map node stability keeps handed-out Inode* valid afterwards.
-  // Never held while calling anything that could re-enter it. It starts a
-  // cache line shared only with the tables it guards, so its traffic does not
-  // evict the read-mostly members above from other host workers' caches.
+  std::vector<InodeShard> inode_shards_;
+  // Structural guard for the two shared tables below when lock domains > 1:
+  // the never-used inode numbers and fd slot claim/release take this spin
+  // lock for their (host-nanosecond) critical sections. Never held while
+  // calling anything that could re-enter it. It starts a cache line shared
+  // only with the tables it guards, so its traffic does not evict the
+  // read-mostly members above from other host workers' caches.
   alignas(64) mutable common::SpinMutex table_mu_;
-  std::unordered_map<vfs::InodeNum, std::unique_ptr<Inode>> inodes_;
-  std::vector<vfs::InodeNum> free_inos_;
+  std::vector<vfs::InodeNum> free_inos_;  // never used since mkfs/mount
   std::vector<FdEntry> fds_;
   bool mounted_ = false;
   uint64_t last_mount_ns_ = 0;

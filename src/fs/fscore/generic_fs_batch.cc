@@ -1,16 +1,18 @@
-// ExecuteBatchNative: the host-speed batched engine shared by filesystems
-// that opt into native batching (WineFS, the ext4-DAX family).
+// ExecuteBatchNative: the batched engine shared by filesystems that opt into
+// native batching (WineFS, the ext4-DAX family).
 //
-// The engine runs the hot metadata kinds — stat, open (plain), close, pread,
-// fsync — under one stripe-lock hold and a per-call memo of resolved paths,
-// and hands every other kind to FileSystem::DispatchScalarOp. The contract
-// is absolute: every simulated charge (clock advances, counters, SimMutex
-// acquisitions, device traffic) is issued exactly as the scalar virtuals
-// would issue it, in the same order. What the fast path removes is HOST
-// work only: the per-op recursive-mutex round trip and the repeated
-// per-level dirent-map walks for paths the batch has already resolved. A
-// path seen for the first time goes through the same Resolve walker the
-// scalar syscalls use.
+// The engine runs a batch under one hold of the caller's dram_mu_ stripe and
+// a per-call memo of resolved paths. Stat and plain open resolve through the
+// memo and then share the scalar calls' StatInfo fill and fd-table claim;
+// close, pread and fsync charge the syscall, open the op scope and call the
+// scalar bodies (CloseHeld/PreadHeld/FsyncHeld); every other kind goes to
+// FileSystem::DispatchScalarOp.
+// So the engine differs from the scalar loop only by the single stripe hold
+// and the memo. The contract is absolute: every simulated charge (clock
+// advances, counters, SimMutex acquisitions, device traffic) is issued
+// exactly as the scalar virtuals would issue it, in the same order. A path
+// seen for the first time goes through the same Resolve walker the scalar
+// syscalls use.
 //
 // Memo coherence rules:
 //   - The memo lives for one ExecuteBatchNative call; its storage belongs to
@@ -36,7 +38,6 @@ namespace fscore {
 
 using common::ErrorCode;
 using common::ExecContext;
-using common::kBlockSize;
 using common::Status;
 
 // Path hash for the memo. Deep-tree paths share long prefixes and often
@@ -188,11 +189,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           out.status = status;
           break;
         }
-        out.stat.ino = node->ino;
-        out.stat.size = node->size;
-        out.stat.blocks = node->extents.MappedBlocks();
-        out.stat.nlink = node->nlink;
-        out.stat.is_dir = node->is_dir;
+        out.stat = StatOf(*node);
         break;
       }
 
@@ -215,113 +212,35 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           out.status = Status(ErrorCode::kIsDir);
           break;
         }
-        bool placed = false;
-        {
-          std::lock_guard<common::SpinMutex> table_guard(table_mu_);
-          for (size_t fd = 0; fd < fds_.size(); fd++) {
-            if (!fds_[fd].in_use) {
-              fds_[fd] = FdEntry{node->ino, op.flags.write(), true};
-              out.value = fd;
-              placed = true;
-              break;
-            }
-          }
-        }
-        if (!placed) {
-          out.status = Status(ErrorCode::kNoSpace);
+        const common::Result<int> fd = ClaimFd(node->ino, op.flags.write());
+        if (fd.ok()) {
+          out.value = static_cast<uint64_t>(*fd);
+        } else {
+          out.status = fd.status();
         }
         break;
       }
 
-      case vfs::OpKind::kClose: {
-        auto resolved = vfs::ResolveBatchFd(batch, i, results);
-        if (!resolved.ok()) {
-          out.status = resolved.status();
-          break;
-        }
-        const int fd = *resolved;
-        ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), "close");
-        std::lock_guard<common::SpinMutex> table_guard(table_mu_);
-        if (fd < 0 || static_cast<size_t>(fd) >= fds_.size() || !fds_[fd].in_use) {
-          out.status = Status(ErrorCode::kBadFd);
-          break;
-        }
-        fds_[fd] = FdEntry{};
-        break;
-      }
-
-      case vfs::OpKind::kPread: {
-        auto resolved = vfs::ResolveBatchFd(batch, i, results);
-        if (!resolved.ok()) {
-          out.status = resolved.status();
-          break;
-        }
-        ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), "pread");
-        Inode* inode = GetInodeByFd(*resolved);
-        if (inode == nullptr) {
-          out.status = Status(ErrorCode::kBadFd);
-          break;
-        }
-        if (op.offset >= inode->size) {
-          out.value = 0;
-          break;
-        }
-        const uint64_t len = std::min(op.len, inode->size - op.offset);
-        uint8_t* cursor = static_cast<uint8_t*>(op.dst);
-        uint64_t remaining = len;
-        uint64_t pos = op.offset;
-        while (remaining > 0) {
-          const uint64_t block = pos / kBlockSize;
-          const uint64_t in_block = pos % kBlockSize;
-          auto mapping = inode->extents.Lookup(block);
-          uint64_t chunk;
-          if (mapping.has_value()) {
-            const uint64_t run_bytes = mapping->contiguous_blocks * kBlockSize - in_block;
-            chunk = std::min(remaining, run_bytes);
-            const Status load =
-                device_->Load(ctx, mapping->phys_block * kBlockSize + in_block, cursor, chunk);
-            if (!load.ok()) {
-              out.status = load;
-              out.value = pos - op.offset;  // POSIX short read
-              break;
-            }
-          } else {
-            chunk = std::min(remaining, kBlockSize - in_block);
-            std::memset(cursor, 0, chunk);  // hole reads as zeros
-          }
-          cursor += chunk;
-          pos += chunk;
-          remaining -= chunk;
-        }
-        if (remaining == 0) {
-          out.value = len;
-        }
-        break;
-      }
-
+      // The scalar bodies, called under the batch's stripe hold.
+      case vfs::OpKind::kClose:
+      case vfs::OpKind::kPread:
       case vfs::OpKind::kFsync: {
-        auto resolved = vfs::ResolveBatchFd(batch, i, results);
-        if (!resolved.ok()) {
-          out.status = resolved.status();
+        const common::Result<int> fd = vfs::ResolveBatchFd(batch, i, results);
+        if (!fd.ok()) {
+          out.status = fd.status();
           break;
         }
         ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), "fsync");
-        Inode* inode = GetInodeByFd(*resolved);
-        if (inode == nullptr) {
-          out.status = Status(ErrorCode::kBadFd);
-          break;
+        obs::OpScope op_scope(ctx, Name(), vfs::OpKindName(op.kind));
+        if (op.kind == vfs::OpKind::kClose) {
+          out.status = CloseHeld(*fd);
+        } else if (op.kind == vfs::OpKind::kFsync) {
+          out.status = FsyncHeld(ctx, *fd);
+        } else {
+          const vfs::IoResult read = PreadHeld(ctx, *fd, op.dst, op.len, op.offset);
+          out.status = read.status();
+          out.value = read.bytes();
         }
-        ctx.counters.fsync_count++;
-        common::SimMutex::Guard file_guard(inode_locks_.LockFor(inode->ino), ctx);
-        const Status fsync_status = FsyncImpl(ctx, *inode);
-        if (!fsync_status.ok()) {
-          out.status = fsync_status;  // scalar returns before the Fence
-          break;
-        }
-        device_->Fence(ctx);
         break;
       }
 

@@ -388,12 +388,11 @@ void Nova::SampleGauges(obs::GaugeSample& out) {
           static_cast<double>(min_free == UINT64_MAX ? 0 : min_free));
   out.Set("cpu_free_max_blocks", static_cast<double>(max_free));
   uint64_t log_pages = 0;
-  for (const auto& [ino, inode] : inode_table()) {
-    (void)ino;
-    for (const Extent& ext : inode->log_pages) {
+  ForEachInode([&log_pages](const Inode& inode) {
+    for (const Extent& ext : inode.log_pages) {
       log_pages += ext.num_blocks;
     }
-  }
+  });
   out.Set("log_pages_live", static_cast<double>(log_pages));
   out.Set("gc_runs", static_cast<double>(gc_runs_));
 }

@@ -58,10 +58,9 @@ void WineFs::SetupPoolGeometry(uint64_t data_start, uint64_t nblocks) {
     }
     pools_.push_back(std::move(pool));
   }
-  // One tx/staging slot per CPU: a CPU's ops are serialized by its dram
-  // stripe, so a slot never sees concurrent begin..commit interleaving.
+  // One tx slot per CPU: a CPU's ops are serialized by its dram stripe, so a
+  // slot never sees concurrent begin..commit interleaving.
   tx_slots_.assign(pools_.size(), TxSlot{});
-  stage_slots_ = std::vector<StageSlot>(pools_.size());
 }
 
 void WineFs::InitAllocator(uint64_t data_start, uint64_t nblocks) {
@@ -383,40 +382,6 @@ void WineFs::FreeBlocks(ExecContext& ctx, const std::vector<Extent>& extents) {
 
 // --- Journaling ----------------------------------------------------------------
 
-void WineFs::StageEntryStore(ExecContext& ctx, uint64_t off, const JournalEntry& entry) {
-  StageSlot& st = Stage(ctx);
-  // A non-adjacent slot (ring wrap or journal switch) breaks the run: flush
-  // the staged bytes first so device write order matches the scalar path.
-  if (!st.buf.empty() && off != st.base_off + st.buf.size()) {
-    FlushJournalStage(ctx);
-  }
-  if (st.buf.empty()) {
-    st.base_off = off;
-  }
-  const uint8_t* bytes = reinterpret_cast<const uint8_t*>(&entry);
-  st.buf.insert(st.buf.end(), bytes, bytes + sizeof(JournalEntry));
-  // Charge the entry's store+clwb HERE, inside the caller's journal_lock
-  // guard, exactly where the scalar path charges them. Deferring the charges
-  // to the flush would shrink the modeled critical section — the lock's
-  // watermark would release earlier than under scalar dispatch, and other
-  // simulated threads would queue for less time (a real modeled divergence
-  // under contention, invisible single-threaded). Only the host-side byte
-  // movement is deferred and coalesced.
-  device_->ChargeStagedStore(ctx, off, sizeof(JournalEntry));
-}
-
-void WineFs::FlushJournalStage(ExecContext& ctx) {
-  StageSlot& st = Stage(ctx);
-  if (st.buf.empty()) {
-    return;
-  }
-  // Every staged entry was already charged at stage time; the coalesced run
-  // is pure host-side data movement (staging is off whenever a fault
-  // injector or crash tracking would observe per-store granularity).
-  device_->StoreUncharged(st.base_off, st.buf.data(), st.buf.size());
-  st.buf.clear();
-}
-
 void WineFs::AppendEntry(ExecContext& ctx, CpuPool& pool, const JournalEntry& entry) {
   common::SimMutex::Guard guard(pool.journal_lock, ctx);
   JournalEntry out = entry;
@@ -430,53 +395,31 @@ void WineFs::AppendEntry(ExecContext& ctx, CpuPool& pool, const JournalEntry& en
     pool.wrap++;
   }
   const uint64_t off = pool.journal_pm_offset + slot * sizeof(JournalEntry);
-  if (Stage(ctx).staging) {
-    StageEntryStore(ctx, off, out);
-  } else {
-    device_->Store(ctx, off, &out, sizeof(out));
-    device_->Clwb(ctx, off, sizeof(out));
-  }
+  device_->Store(ctx, off, &out, sizeof(out));
+  device_->Clwb(ctx, off, sizeof(out));
   ctx.counters.journal_bytes += sizeof(out);
 }
 
 void WineFs::AppendRawSlots(ExecContext& ctx, CpuPool& pool, const uint8_t* data,
                             uint64_t len) {
   common::SimMutex::Guard guard(pool.journal_lock, ctx);
-  if (Stage(ctx).staging) {
-    // Keep write order: staged header entries precede their blob lines.
-    FlushJournalStage(ctx);
-    // Bulk the old image into the ring one contiguous run at a time. Only the
-    // final chunk may be sub-cacheline, so ceil-division recovers exactly the
-    // per-slot head advances and per-line NtStore charges of the loop below.
-    uint64_t done = 0;
-    while (done < len) {
-      const uint64_t ring_bytes = (pool.capacity_entries - pool.head) * sizeof(JournalEntry);
-      const uint64_t span = std::min(len - done, ring_bytes);
-      const uint64_t off = pool.journal_pm_offset + pool.head * sizeof(JournalEntry);
-      device_->NtStore(ctx, off, data + done, span);
-      pool.head += (span + sizeof(JournalEntry) - 1) / sizeof(JournalEntry);
-      if (pool.head >= pool.capacity_entries) {
-        pool.head = 0;
-        pool.wrap++;
-      }
-      done += span;
-    }
-    ctx.counters.journal_bytes += len;
-    return;
-  }
+  // The old image streams into the ring as non-temporal stores, one per
+  // contiguous run of slots (a run ends at the ring's end). Runs start on a
+  // slot and only the image's last piece can be sub-cacheline, so a run
+  // charges exactly what one store per slot would, and crash tracking logs
+  // the same lines in the same order.
   uint64_t done = 0;
   while (done < len) {
-    const uint64_t chunk = std::min<uint64_t>(common::kCacheline, len - done);
-    const uint64_t slot = pool.head;
-    pool.head++;
+    const uint64_t ring_bytes = (pool.capacity_entries - pool.head) * sizeof(JournalEntry);
+    const uint64_t span = std::min(len - done, ring_bytes);
+    const uint64_t off = pool.journal_pm_offset + pool.head * sizeof(JournalEntry);
+    device_->NtStore(ctx, off, data + done, span);
+    pool.head += (span + sizeof(JournalEntry) - 1) / sizeof(JournalEntry);
     if (pool.head >= pool.capacity_entries) {
       pool.head = 0;
       pool.wrap++;
     }
-    const uint64_t off = pool.journal_pm_offset + slot * sizeof(JournalEntry);
-    // Bulk old-image copy: non-temporal streaming stores.
-    device_->NtStore(ctx, off, data + done, chunk);
-    done += chunk;
+    done += span;
   }
   ctx.counters.journal_bytes += len;
 }
@@ -502,7 +445,6 @@ void WineFs::JournalUndo(ExecContext& ctx, CpuPool& pool, uint64_t target_offset
     std::memcpy(header.payload + sizeof(len), &blob_csum, sizeof(blob_csum));
     AppendEntry(ctx, pool, header);
     AppendRawSlots(ctx, pool, old.data(), len);
-    FlushJournalStage(ctx);
     device_->Fence(ctx);
     return;
   }
@@ -523,7 +465,6 @@ void WineFs::JournalUndo(ExecContext& ctx, CpuPool& pool, uint64_t target_offset
     AppendEntry(ctx, pool, entry);
     done += chunk;
   }
-  FlushJournalStage(ctx);
   device_->Fence(ctx);
 }
 
@@ -541,7 +482,6 @@ void WineFs::TxBegin(ExecContext& ctx) {
   entry.txn_id = tx.id;
   entry.type = JournalEntry::kStart;
   AppendEntry(ctx, JournalFor(tx.cpu), entry);
-  FlushJournalStage(ctx);
   device_->Fence(ctx);
 }
 
@@ -576,7 +516,6 @@ void WineFs::TxCommit(ExecContext& ctx) {
   entry.txn_id = tx.id;
   entry.type = JournalEntry::kCommit;
   AppendEntry(ctx, JournalFor(tx.cpu), entry);
-  FlushJournalStage(ctx);
   device_->Fence(ctx);
   // Space occupied by this committed transaction is immediately reclaimable
   // (§3.6); the ring simply advances.
@@ -900,18 +839,7 @@ Status WineFs::FsyncImpl(ExecContext& ctx, Inode& inode) {
 
 void WineFs::ExecuteBatch(ExecContext& ctx, const vfs::OpBatch& batch,
                           std::vector<vfs::OpResult>& results) {
-  DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
-  // Group-commit coalescing needs per-store hooks to be absent: a fault
-  // injector or crash-tracking session observes individual journal stores,
-  // so those configurations run with per-slot writes (still through the
-  // native resolve/fd caches).
-  Stage(ctx).staging =
-      device_->fault_injector() == nullptr && !device_->crash_tracking_enabled();
   ExecuteBatchNative(ctx, batch, results);
-  // Every journaled op fences (and therefore flushes) before returning; this
-  // is a backstop so no staged bytes can outlive the batch.
-  FlushJournalStage(ctx);
-  Stage(ctx).staging = false;
 }
 
 // --- Introspection / reactive rewriting ---------------------------------------------

@@ -93,8 +93,8 @@ class WineFs : public fscore::GenericFs {
   WineFs(pmem::PmemDevice* device, WineFsOptions options);
 
   std::string_view Name() const override { return "winefs"; }
-  // Per-CPU journals + per-CPU allocator pools + per-CPU tx/staging slots:
-  // host workers driving disjoint CPU shards contend real per-CPU structures
+  // Per-CPU journals + per-CPU allocator pools + per-CPU tx slots: host
+  // workers driving disjoint CPU shards contend real per-CPU structures
   // instead of taking turns (see DESIGN.md shard-purity contract).
   vfs::ParallelPolicy parallel_policy() const override {
     return vfs::ParallelPolicy::kSharded;
@@ -121,12 +121,8 @@ class WineFs : public fscore::GenericFs {
   // Aggregate count of free aligned extents across per-CPU pools.
   uint64_t FreeAlignedExtents() const;
 
-  // Native batched execution: the fscore engine plus journal group-commit
-  // coalescing — journal cacheline stores issued between fences are staged in
-  // DRAM and land as one bulk Store/Clwb per contiguous ring run (charge-
-  // identical to per-slot stores; see AppendEntry). Staging is disabled when
-  // a fault injector or crash tracking is attached, where per-store hooks
-  // must observe every individual journal write.
+  // Native batched execution: the fscore engine. Batched ops write the
+  // journal through the same AppendEntry/AppendRawSlots code as scalar calls.
   void ExecuteBatch(common::ExecContext& ctx, const vfs::OpBatch& batch,
                     std::vector<vfs::OpResult>& results) override;
 
@@ -207,19 +203,14 @@ class WineFs : public fscore::GenericFs {
   CpuPool& JournalFor(uint32_t cpu) {
     return wopts_.per_cpu_journals ? *pools_[cpu] : *pools_[0];
   }
+  // Stores one entry into the next slot and flushes it (Store + Clwb); the
+  // caller fences.
   void AppendEntry(common::ExecContext& ctx, CpuPool& pool, const JournalEntry& entry);
   // Writes `len` bytes of old-image data as raw journal cachelines.
   void AppendRawSlots(common::ExecContext& ctx, CpuPool& pool, const uint8_t* data,
                       uint64_t len);
   void JournalUndo(common::ExecContext& ctx, CpuPool& pool, uint64_t target_offset,
                    uint64_t len);
-
-  // Batched group-commit staging: contiguous journal-entry stores accumulate
-  // here and flush as one bulk Store+Clwb (before every Fence, and whenever
-  // the ring run breaks — a wrap or a journal switch). The device's per-line
-  // cost math is linear, so bulk == sum of per-slot charges exactly.
-  void StageEntryStore(common::ExecContext& ctx, uint64_t off, const JournalEntry& entry);
-  void FlushJournalStage(common::ExecContext& ctx);
 
   // NUMA policy (§3.6): home node per process, writes routed there.
   uint32_t HomeNodeFor(common::ExecContext& ctx);
@@ -249,18 +240,6 @@ class WineFs : public fscore::GenericFs {
   common::SpinMutex home_mu_;                         // guards home_node_
   std::atomic<uint64_t> numa_local_allocs_{0};
   std::atomic<uint64_t> numa_remote_allocs_{0};
-
-  // Journal group-commit staging state (active only inside ExecuteBatch),
-  // one slot per CPU so concurrently-batching shards stage independently.
-  struct alignas(64) StageSlot {
-    bool staging = false;
-    uint64_t base_off = 0;
-    std::vector<uint8_t> buf;
-  };
-  std::vector<StageSlot> stage_slots_{1};
-  StageSlot& Stage(const common::ExecContext& ctx) {
-    return stage_slots_[ctx.cpu % stage_slots_.size()];
-  }
 };
 
 }  // namespace winefs

@@ -251,23 +251,6 @@ void PmemDevice::Zero(common::ExecContext& ctx, uint64_t offset, uint64_t len) {
   RecordStore(offset, len, /*flushed=*/true);
 }
 
-void PmemDevice::ChargeStagedStore(common::ExecContext& ctx, uint64_t offset, uint64_t len) {
-  common::ProfileZone zone(ctx, common::ProfLayer::kDevice);
-  assert(offset + len <= data_.size());
-  assert(injector_ == nullptr && !crash_tracking_);
-  Touch(offset, len);
-  // Store charges (Store() minus the memcpy; fault hooks are no-ops here).
-  const uint64_t store_lines = (len + kCacheline - 1) / kCacheline;
-  ctx.clock.Advance(store_lines * model_.pm_store_ns);
-  ctx.counters.pm_write_bytes += len;
-  // Clwb charges, with Clwb()'s own line math (first/last cover).
-  const uint64_t first = common::RoundDown(offset, kCacheline);
-  const uint64_t last = common::RoundDown(offset + len - 1, kCacheline);
-  const uint64_t clwb_lines = (last - first) / kCacheline + 1;
-  ctx.clock.Advance(clwb_lines * model_.clwb_ns);
-  ctx.counters.clwb_count += clwb_lines;
-}
-
 void PmemDevice::StoreUncharged(uint64_t offset, const void* src, uint64_t len) {
   assert(offset + len <= data_.size());
   Touch(offset, len);

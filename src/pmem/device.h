@@ -121,15 +121,6 @@ class PmemDevice {
   // Store fence / drain: all previously flushed lines become persistent.
   void Fence(common::ExecContext& ctx);
 
-  // Charges exactly what Store + Clwb of this range would charge (clock,
-  // counters) WITHOUT moving data. Staged group-commit paths use it to issue
-  // the charges at the point the scalar path would — inside the same SimMutex
-  // critical section, so lock watermarks seen by other simulated threads
-  // match bit-exactly — and move the coalesced bytes later with
-  // StoreUncharged. Only valid while no fault injector or crash tracking is
-  // attached (stagers gate on that), since those observe per-store order.
-  void ChargeStagedStore(common::ExecContext& ctx, uint64_t offset, uint64_t len);
-
   // Convenience: store + clwb + fence (persist immediately).
   void PersistStore(common::ExecContext& ctx, uint64_t offset, const void* src, uint64_t len);
   // Store a trivially-copyable struct.
@@ -182,13 +173,11 @@ class PmemDevice {
   // Attaches a fault plan (not owned; nullptr detaches). Poisoned blocks,
   // latency spikes, and torn-write plans all flow through the injector.
   void AttachFaultInjector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() { return injector_; }
 
   // --- Crash tracking ----------------------------------------------------
 
   void EnableCrashTracking();
   void DisableCrashTracking();
-  bool crash_tracking_enabled() const { return crash_tracking_; }
 
   // Snapshot of in-flight (not guaranteed persistent) cachelines, in store order.
   std::vector<PendingLine> PendingLines() const;

@@ -5,6 +5,7 @@
 #endif
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <thread>
 #include <vector>
@@ -13,7 +14,9 @@ namespace wload {
 
 namespace {
 
-struct ThreadState {
+// Own cache lines: sharded workers run neighbouring tids at once, and each
+// op writes its thread's clock, counters and next_op.
+struct alignas(64) ThreadState {
   common::ExecContext ctx;
   uint64_t next_op = 0;
   bool done = false;
@@ -129,9 +132,8 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
     }
   }
 
-  // Contiguous tid shards: worker w owns [w*T/W, (w+1)*T/W). With the
-  // cpus == threads geometry of sharded benches, a shard therefore owns a
-  // contiguous range of simulated CPUs — and their per-CPU FS structures.
+  // Lockstep workers own contiguous tid shards: worker w owns
+  // [w*T/W, (w+1)*T/W).
   auto shard_lo = [&](uint32_t w) {
     return static_cast<uint32_t>(static_cast<uint64_t>(w) * num_threads_ / workers);
   };
@@ -184,27 +186,27 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
       th.join();
     }
   } else {
-    // Sharded free-run: each worker is an independent discrete-event loop
-    // over its own shard. Host interleaving across shards is arbitrary; the
-    // shard-purity contract makes modeled outputs independent of it.
+    // Sharded free-run: each worker claims the next unclaimed simulated
+    // thread and runs it to completion, so a worker whose host CPU is taken
+    // away holds up only the thread it is running while the others drain
+    // the rest. Host interleaving is arbitrary; the shard-purity contract
+    // (one CPU and one namespace subtree per simulated thread) makes
+    // modeled outputs independent of it.
+    std::atomic<uint32_t> next_tid{0};
     std::vector<std::thread> pool;
     pool.reserve(workers);
     for (uint32_t w = 0; w < workers; w++) {
       pool.emplace_back([&, w]() {
         SpreadWorker(w);
         StressRng rng(stress_seed_ + 0x9e3779b97f4a7c15ull * (w + 1));
-        const uint32_t lo = shard_lo(w);
-        const uint32_t hi = shard_lo(w + 1);
-        while (true) {
-          uint32_t tid = 0;
-          ThreadState* best = ShardBest(threads, lo, hi, &tid);
-          if (best == nullptr) {
-            return;
+        for (uint32_t tid = next_tid++; tid < num_threads_; tid = next_tid++) {
+          ThreadState& ts = threads[tid];
+          while (!ts.done) {
+            if (stress_ && (rng.Next() & 7) == 0) {
+              std::this_thread::yield();
+            }
+            RunBatch(ts, tid, ops_per_thread, op, batch);
           }
-          if (stress_ && (rng.Next() & 7) == 0) {
-            std::this_thread::yield();
-          }
-          RunBatch(*best, tid, ops_per_thread, op, batch);
         }
       });
     }

@@ -1,7 +1,7 @@
 // True multi-core workload execution: N host worker threads drive disjoint
-// contiguous-tid shards of the simulated thread set, with a deterministic
-// merge that keeps every modeled output (PerfCounters, wall_ns, namespace
-// state) bit-identical to SimRunner's single-host-thread schedule.
+// parts of the simulated thread set, with a deterministic merge that keeps
+// every modeled output (PerfCounters, wall_ns, namespace state)
+// bit-identical to SimRunner's single-host-thread schedule.
 //
 // Two modes, selected from the filesystem's ParallelPolicy:
 //
@@ -13,7 +13,8 @@
 //    any FS changes. Always safe; exposes no host parallelism inside the FS —
 //    the honest model for global-journal designs.
 //
-//  * kSharded — workers free-run their shards concurrently, genuinely
+//  * kSharded — workers free-run concurrently, each claiming the next
+//    unstarted simulated thread and running it to completion, genuinely
 //    contending the per-CPU journals/allocator pools of WineFS and NOVA.
 //    Bit-identity holds under the shard-purity contract: per-thread namespace
 //    subtrees, one simulated CPU per thread (cpus == threads) so per-CPU

@@ -4,15 +4,17 @@
 // six filesystems. After every batch the two instances must agree on every
 // per-op status and value, on the simulated clock, and on every registered
 // PerfCounter; at the end the whole namespace (recursive listing + stat of
-// every node) and all pread payloads must be bit-identical. This is the
-// enforcement mechanism for the batched API's core invariant: native batching
-// may only remove HOST work, never change modeled behavior. One shape of the
-// trace builds depth-8 directory chains of 36-53 character names (longer
-// than std::string's inline buffer, like perfbench's meta_spine) and issues
-// the path errors: a file used as a directory, an over-long component,
-// repeated and trailing slashes, rename onto an existing file, and rmdir.
+// every node), all pread payloads and both device images must be
+// bit-identical. This is the enforcement mechanism for the batched API's core
+// invariant: native batching may only remove HOST work, never change modeled
+// behavior. One shape of the trace builds depth-8 directory chains of 36-53
+// character names (longer than std::string's inline buffer, like perfbench's
+// meta_spine) and issues the path errors: a file used as a directory, an
+// over-long component, repeated and trailing slashes, rename onto an existing
+// file, and rmdir.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -86,6 +88,19 @@ struct Twins {
   std::unique_ptr<vfs::FileSystem> batched;
   std::unique_ptr<vfs::FileSystem> scalar;
 };
+
+// Equal charges are not enough: the twins' device images must match byte for
+// byte, so a batched path that writes a byte apart from its charge fails.
+void ExpectSameImage(const pmem::PmemDevice& batched, const pmem::PmemDevice& scalar,
+                     const std::string& fs_name) {
+  ASSERT_EQ(batched.size(), scalar.size()) << fs_name;
+  const uint8_t* b = batched.raw();
+  const uint8_t* s = scalar.raw();
+  if (std::memcmp(b, s, batched.size()) != 0) {
+    ADD_FAILURE() << fs_name << ": device images differ, first at byte "
+                  << std::mismatch(b, b + batched.size(), s).first - b;
+  }
+}
 
 // Formats both twins, replays the seeded mixed trace on them, asserting after
 // every batch that they agree, then sweeps and compares both namespaces.
@@ -396,6 +411,7 @@ void ReplayMixedTrace(const std::string& fs_name, bool hold_fds, Twins& twins, M
   }
   EXPECT_GT(nodes_compared, 0u);
   EXPECT_GT(model.deep_dirs.size(), 8u);
+  ExpectSameImage(twins.dev_batched, twins.dev_scalar, fs_name);
   for (common::ErrorCode code :
        {common::ErrorCode::kNotDir, common::ErrorCode::kInvalidArgument,
         common::ErrorCode::kNotEmpty, common::ErrorCode::kNotFound}) {
@@ -540,6 +556,7 @@ TEST_P(OpBatchEquivalenceTest, MultiThreadedContentionBitIdentical) {
     ASSERT_EQ(batched.counters.*field.member, scalar.counters.*field.member)
         << fs_name << ": counter " << field.name << " diverged under contention";
   }
+  ExpectSameImage(dev_batched, dev_scalar, fs_name);
 }
 
 INSTANTIATE_TEST_SUITE_P(Filesystems, OpBatchEquivalenceTest,

@@ -2,7 +2,9 @@
 // crash-state capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <vector>
 
 #include "src/common/exec_context.h"
 #include "src/common/units.h"
@@ -125,6 +127,59 @@ TEST(PmemCrashTest, NtStorePersistsAtFence) {
   EXPECT_TRUE(dev.PendingLines()[0].flushed);
   dev.Fence(ctx);
   EXPECT_TRUE(dev.PendingLines().empty());
+}
+
+// One NtStore over several lines must be indistinguishable from one NtStore
+// per line: the same charges, the same pending lines (offset, payload, flush
+// state, store order) and, after a fence, the same persistent image. WineFS
+// streams each ring run of a journal blob as one call on this basis.
+TEST(PmemCrashTest, MultiLineNtStoreEqualsPerLineNtStores) {
+  constexpr uint64_t kOffset = 8 * common::kKiB;
+  constexpr uint64_t kLines = 6;
+  // The last line is partial; its tail keeps bytes stored before tracking.
+  std::vector<uint8_t> data((kLines - 1) * common::kCacheline + 24);
+  for (size_t i = 0; i < data.size(); i++) {
+    data[i] = static_cast<uint8_t>(0x21 + i % 89);
+  }
+  const std::vector<uint8_t> old_tail(common::kCacheline, 0xee);
+
+  PmemDevice whole(256 * common::kKiB);
+  PmemDevice per_line(256 * common::kKiB);
+  ExecContext setup;
+  for (PmemDevice* dev : {&whole, &per_line}) {
+    dev->PersistStore(setup, kOffset + (kLines - 1) * common::kCacheline, old_tail.data(),
+                      old_tail.size());
+    dev->EnableCrashTracking();
+  }
+
+  ExecContext ctx_whole;
+  ExecContext ctx_per_line;
+  whole.NtStore(ctx_whole, kOffset, data.data(), data.size());
+  for (uint64_t done = 0; done < data.size(); done += common::kCacheline) {
+    const uint64_t chunk = std::min<uint64_t>(common::kCacheline, data.size() - done);
+    per_line.NtStore(ctx_per_line, kOffset + done, data.data() + done, chunk);
+  }
+  EXPECT_EQ(ctx_whole.clock.NowNs(), ctx_per_line.clock.NowNs());
+  EXPECT_EQ(ctx_whole.counters.pm_write_bytes, ctx_per_line.counters.pm_write_bytes);
+
+  const std::vector<pmem::PendingLine> lines_whole = whole.PendingLines();
+  const std::vector<pmem::PendingLine> lines_per_line = per_line.PendingLines();
+  ASSERT_EQ(lines_whole.size(), kLines);
+  ASSERT_EQ(lines_per_line.size(), kLines);
+  for (size_t i = 0; i < kLines; i++) {
+    EXPECT_EQ(lines_whole[i].line_offset, lines_per_line[i].line_offset) << "line " << i;
+    EXPECT_EQ(lines_whole[i].flushed, lines_per_line[i].flushed) << "line " << i;
+    EXPECT_EQ(lines_whole[i].seq, lines_per_line[i].seq) << "line " << i;
+    EXPECT_EQ(0, std::memcmp(lines_whole[i].data, lines_per_line[i].data, common::kCacheline))
+        << "line " << i;
+  }
+  EXPECT_EQ(lines_whole.back().data[common::kCacheline - 1], 0xee);
+
+  whole.Fence(ctx_whole);
+  per_line.Fence(ctx_per_line);
+  EXPECT_EQ(ctx_whole.clock.NowNs(), ctx_per_line.clock.NowNs());
+  EXPECT_TRUE(whole.PendingLines().empty());
+  EXPECT_TRUE(whole.PersistentImage() == per_line.PersistentImage());
 }
 
 TEST(PmemCrashTest, RestoreImageReplacesContents) {
