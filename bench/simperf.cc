@@ -1,6 +1,7 @@
 // Host-side simulator throughput bench: how many modeled accesses per host
 // second the translation hot path sustains, per path (L1 TLB hit, STLB hit,
-// page walk, fault, bulk copy, fig04-style per-line random reads). Run once
+// page walk, fault, bulk copy, fig04-style per-line random reads, and random
+// reads over a mapping larger than the host caches). Run once
 // with the default fast simulator and once with WINEFS_REFERENCE_SIM=1 to
 // measure the flat-structure speedup; every modeled field (sim clock,
 // counters, op counts) must be bit-identical between the two runs — only the
@@ -129,6 +130,42 @@ PathResult PerLineRandom() {
   return out;
 }
 
+// mmap_aged's ext4-DAX shape: random single-line reads over a 16 MiB
+// 4 KB-faulting mapping, 512 per AccessLines call. Nothing is prefaulted, so
+// the early calls take faults and the rest mix STLB misses (4096 pages
+// against 1536 entries) with LLC misses. Unlike the rows above, the device
+// lines and simulated-LLC sets touched outgrow a host core's L2, so every op
+// also waits on host memory: the path AccessLines' prefetch pipeline hides.
+PathResult RandomLines() {
+  constexpr uint64_t kArrayBytes = 16 * kMiB;
+  constexpr uint64_t kBatch = 512;
+  constexpr uint64_t kReads = 1024 * kBatch;
+  auto bed = MakeBed("xfs-dax", 4 * kArrayBytes);
+  ExecContext ctx;
+  auto fd = bed.fs->Open(ctx, "/array", vfs::OpenFlags::Create());
+  (void)bed.fs->Fallocate(ctx, *fd, 0, kArrayBytes);
+  auto ino = bed.fs->InodeOf(ctx, *fd);
+  auto map = bed.engine->Mmap(bed.fs.get(), *ino, kArrayBytes, /*writable=*/true);
+
+  common::Rng rng(17);
+  std::vector<vmem::LineOp> ops(kReads);
+  for (auto& op : ops) {
+    op.offset = rng.NextBelow(kArrayBytes / common::kCacheline) * common::kCacheline;
+  }
+  PathResult out;
+  out.name = "random_lines";
+  ctx.counters.Reset();
+  const uint64_t host_start = HostNowNs();
+  for (uint64_t i = 0; i < kReads; i += kBatch) {
+    (void)map->AccessLines(ctx, ops.data() + i, kBatch, /*write=*/false);
+  }
+  out.host_ns = std::max<uint64_t>(1, HostNowNs() - host_start);
+  out.modeled_ops = kReads;
+  out.sim_end_ns = ctx.clock.NowNs();
+  out.counters = ctx.counters;
+  return out;
+}
+
 // Fault path: prefault a fresh never-aligned (4 KB-faulting) mapping; one
 // modeled op = one page fault.
 PathResult FaultPath() {
@@ -201,6 +238,7 @@ int main() {
   AddRow(report, BulkPath(/*write=*/false));
   AddRow(report, BulkPath(/*write=*/true));
   AddRow(report, PerLineRandom());
+  AddRow(report, RandomLines());
   benchutil::EmitReport(report);
   return 0;
 }

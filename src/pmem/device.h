@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/common/exec_context.h"
+#include "src/common/prefetch.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
@@ -101,6 +102,10 @@ class PmemDevice {
     const_cast<PmemDevice*>(this)->Touch(offset, len);
     return data_.data() + offset;
   }
+  // Host cache hint for the device byte at `offset` (< size()). It reads
+  // data_ directly, so it never materializes a COW chunk: a hint at one not
+  // yet copied is wasted, never wrong.
+  void PrefetchHint(uint64_t offset) const { common::PrefetchLine(data_.data() + offset); }
   // --- Store/load API used by filesystems (syscall paths) ---------------
 
   // Regular (cached) store: data is volatile until Clwb+Fence.

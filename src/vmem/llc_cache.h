@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/common/prefetch.h"
 #include "src/common/units.h"
 #include "src/vmem/mmu_params.h"
 
@@ -29,6 +30,13 @@ class LlcCache {
   // line (evicting LRU in the set). Defined inline below so the fast-layout
   // hit probe — a branchless tag scan — runs without a function call.
   bool Access(uint64_t paddr);
+
+  // Host cache hint for the first line of the fast-layout set block that
+  // Access(paddr) probes (valid mask and tag signatures). Reads and changes
+  // no cache state; call only on a fast-layout cache.
+  void PrefetchSet(uint64_t paddr) const {
+    common::PrefetchLine(base_ + SetOf(paddr / common::kCacheline) * set_stride_);
+  }
 
   void Flush();
 
@@ -46,6 +54,10 @@ class LlcCache {
     uint64_t lru = 0;  // larger = more recent
     bool valid = false;
   };
+
+  uint64_t SetOf(uint64_t line) const {
+    return set_mask_ != 0 ? line & set_mask_ : line % num_sets_;
+  }
 
   static uint8_t Sig8(uint64_t tag) {
     return static_cast<uint8_t>((tag * 0x9e3779b97f4a7c15ull) >> 56);
@@ -81,15 +93,8 @@ class LlcCache {
 
 inline bool LlcCache::Access(uint64_t paddr) {
   const uint64_t line = paddr / common::kCacheline;
-  uint64_t set;
-  uint64_t tag;
-  if (set_mask_ != 0) {
-    set = line & set_mask_;
-    tag = line >> set_shift_;
-  } else {
-    set = line % num_sets_;
-    tag = line / num_sets_;
-  }
+  const uint64_t set = SetOf(line);
+  const uint64_t tag = set_mask_ != 0 ? line >> set_shift_ : line / num_sets_;
   tick_++;
   if (reference_) {
     return AccessReference(set, tag);

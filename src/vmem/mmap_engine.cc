@@ -23,6 +23,15 @@ namespace {
 constexpr uint64_t kVaStart = 0x7f0000000000ull;
 // Cost of an L2 TLB hit (STLB latency).
 constexpr uint64_t kStlbHitNs = 5;
+// How many ops ahead of the model AccessLines' fast loop issues host cache
+// hints. On 512-op batches over a 16 MiB mapping, 4 to 16 measured alike and
+// 32 slightly worse.
+constexpr size_t kLineLookahead = 8;
+
+// True when the 8 bytes a line op moves at `offset` stay inside its 64 B line.
+bool InOneLine(uint64_t offset) {
+  return offset % kCacheline <= kCacheline - sizeof(uint64_t);
+}
 }  // namespace
 
 MmapEngine::MmapEngine(pmem::PmemDevice* device, MmuParams params, uint32_t num_cpus)
@@ -340,6 +349,9 @@ Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t l
 
 Status MappedFile::LineAccess(ExecContext& ctx, uint64_t offset, bool write, void* data,
                               uint64_t* latency_ns_out) {
+  if (!InOneLine(offset)) {
+    return Status(ErrorCode::kInvalidArgument);
+  }
   const uint64_t start = ctx.clock.NowNs();
   auto phys = TranslateByte(ctx, offset, write, nullptr);
   if (!phys.ok()) {
@@ -385,6 +397,29 @@ Result<uint64_t> MappedFile::StoreLine(ExecContext& ctx, uint64_t offset, const 
   return latency;
 }
 
+// Declared inline because at -O2 GCC otherwise calls an out-of-line clone
+// once per op.
+inline void MappedFile::HintLine(const LlcCache& llc, uint64_t offset) const {
+  if (offset >= length_) {
+    return;
+  }
+  const Chunk& chunk = chunks_[offset / kHugepageSize];
+  uint64_t phys;
+  if (chunk.state == ChunkState::kHuge) {
+    phys = chunk.huge_phys + offset % kHugepageSize;
+  } else if (!chunk.page_phys.empty()) {
+    const uint64_t page_phys = chunk.page_phys[(offset % kHugepageSize) / kBlockSize];
+    if (page_phys == 0) {
+      return;
+    }
+    phys = page_phys + offset % kBlockSize;
+  } else {
+    return;
+  }
+  engine_->device().PrefetchHint(phys);
+  llc.PrefetchSet(phys);
+}
+
 Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool write) {
   if (engine_->params().reference_sim) {
     // Reference simulator: the pre-overhaul shape — one LoadLine/StoreLine
@@ -408,6 +443,12 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
   // advances, sampler polls) are emitted exactly as LineAccess would emit
   // them one op at a time; only misses fall back to the out-of-line walk and
   // fault machinery.
+  //
+  // Software pipeline: on a mapping beyond the host caches each op waits out
+  // two host misses, its device line and its LLC set block. While op i is
+  // modeled, HintLine prefetches both for op i + kLineLookahead. Op 0 gets
+  // no hint, since it is modeled at once and a hint could not land in time;
+  // so a one-op batch issues none.
   MmapEngine::CpuState& cpu_state = engine_->cpu(ctx);
   Tlb& tlb = cpu_state.tlb;
   LlcCache& llc = cpu_state.llc;
@@ -415,10 +456,16 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
   const pmem::CostModel& cost = dev.cost();
   const uint64_t dev_size = dev.size();
   common::PerfCounters& counters = ctx.counters;
+  for (size_t i = 1; i < std::min(count, kLineLookahead); i++) {
+    HintLine(llc, ops[i].offset);
+  }
   for (size_t i = 0; i < count; i++) {
+    if (i + kLineLookahead < count) {
+      HintLine(llc, ops[i + kLineLookahead].offset);
+    }
     LineOp& op = ops[i];
     const uint64_t offset = op.offset;
-    if (offset >= length_ || (write && !writable_)) {
+    if (offset >= length_ || !InOneLine(offset) || (write && !writable_)) {
       return Status(ErrorCode::kInvalidArgument);
     }
     const uint64_t start = ctx.clock.NowNs();

@@ -48,7 +48,11 @@ class MmapEngine;
 
 // One batched single-cacheline access; see MappedFile::AccessLines.
 struct LineOp {
-  uint64_t offset = 0;      // byte offset within the mapping
+  // Byte offset within the mapping. The 8 bytes moved must lie inside one
+  // 64 B line (offset % 64 <= 56); otherwise the op fails with
+  // kInvalidArgument, since the bytes past the line may belong to another
+  // page and another file.
+  uint64_t offset = 0;
   uint64_t value = 0;       // loads: first 8 bytes read; stores: 8 bytes to write
   uint64_t latency_ns = 0;  // out: modeled latency of this access
 };
@@ -74,15 +78,16 @@ class MappedFile {
 
   // Single-cacheline access with full TLB + LLC modeling; for pointer-chasing
   // and random-read workloads (Fig 4, Fig 8). Returns the modeled latency in
-  // nanoseconds (also charged to ctx.clock).
+  // nanoseconds (also charged to ctx.clock). `offset` obeys LineOp's rule.
   common::Result<uint64_t> LoadLine(common::ExecContext& ctx, uint64_t offset, void* dst64);
   common::Result<uint64_t> StoreLine(common::ExecContext& ctx, uint64_t offset,
                                      const void* src64);
 
   // Batched cacheline accesses: modeled events (TLB, LLC, clock, counters,
   // sampler polls) are emitted exactly as if LoadLine/StoreLine were called
-  // once per op, but Result/latency plumbing is amortized across the batch.
-  // Stops at the first failing op and returns its status.
+  // once per op, but Result/latency plumbing is amortized across the batch
+  // and the host loads of later ops are prefetched while earlier ones are
+  // modeled. Stops at the first failing op and returns its status.
   common::Status AccessLines(common::ExecContext& ctx, LineOp* ops, size_t count, bool write);
 
   // Faults in every page of the mapping (MAP_POPULATE-style).
@@ -120,6 +125,12 @@ class MappedFile {
   // repeating the lookup.
   common::Result<uint64_t> TranslateMiss(common::ExecContext& ctx, uint64_t offset, bool write,
                                          uint64_t* walk_ns_out);
+
+  // Host cache hints for `offset`'s device line and its simulated-LLC set,
+  // from chunks_ alone: no TLB, LLC, page-table, clock, counter or COW state
+  // is read or changed, so modeled output cannot depend on them. Issues
+  // nothing for an offset outside the mapping or on a page not mapped yet.
+  void HintLine(const LlcCache& llc, uint64_t offset) const;
 
   // Shared body of LoadLine/StoreLine/AccessLines. `data` may be null (charge
   // the access without moving bytes, matching the nullable LoadLine/StoreLine

@@ -6,6 +6,10 @@
 // state, simulated clock, and all registered counters.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <utility>
+
 #include "src/common/perf_counters.h"
 #include "src/common/rng.h"
 #include "src/common/units.h"
@@ -159,10 +163,15 @@ class FakeHandler : public vmem::FaultHandler {
 };
 
 // One independent device + engine + mapping per side, so the two replays
-// share nothing.
+// share nothing. The second constructor maps the file on a COW fork of `base`.
 struct Bed {
   Bed(MmuParams params, uint64_t map_bytes, bool huge)
       : dev(64 * kMiB),
+        engine(&dev, params, 1),
+        handler(4 * kMiB, huge),
+        map(engine.Mmap(&handler, 1, map_bytes, /*writable=*/true)) {}
+  Bed(const pmem::DeviceSnapshot& base, MmuParams params, uint64_t map_bytes, bool huge)
+      : dev(base),
         engine(&dev, params, 1),
         handler(4 * kMiB, huge),
         map(engine.Mmap(&handler, 1, map_bytes, /*writable=*/true)) {}
@@ -182,33 +191,145 @@ std::vector<uint64_t> RandomLineOffsets(uint64_t count, uint64_t map_bytes, uint
   return offsets;
 }
 
-TEST(SimDiffEngine, AccessLinesMatchesLoadLineLoop) {
-  // 8 MiB of base pages = 2048 PTEs: overflows the 1536-entry L2 so the trace
-  // exercises hits, promotions, walks, and LLC fills.
-  constexpr uint64_t kMapBytes = 8 * kMiB;
-  Bed batched(FastParams(), kMapBytes, /*huge=*/false);
-  Bed looped(FastParams(), kMapBytes, /*huge=*/false);
-  const auto offsets = RandomLineOffsets(100000, kMapBytes, 7);
-
-  ExecContext batched_ctx;
+std::vector<vmem::LineOp> LineOps(const std::vector<uint64_t>& offsets, uint64_t seed) {
+  common::Rng rng(seed);
   std::vector<vmem::LineOp> ops(offsets.size());
-  for (size_t i = 0; i < offsets.size(); i++) {
+  for (size_t i = 0; i < ops.size(); i++) {
     ops[i].offset = offsets[i];
+    ops[i].value = rng.Next();
   }
-  ASSERT_TRUE(batched.map->AccessLines(batched_ctx, ops.data(), ops.size(), /*write=*/false).ok());
+  return ops;
+}
 
+// Runs `ops` as one AccessLines batch on `batched`, and as a per-op
+// LoadLine/StoreLine loop on `looped`, stopping at the first failure as
+// AccessLines does. Both must agree on the status, every op's value and
+// latency, the clock, every counter, the faults and the COW chunks copied.
+void ExpectBatchMatchesLoop(Bed& batched, Bed& looped, std::vector<vmem::LineOp> ops,
+                            bool write) {
+  std::vector<vmem::LineOp> loop_ops = ops;
+  ExecContext batched_ctx;
+  const common::Status batched_status =
+      batched.map->AccessLines(batched_ctx, ops.data(), ops.size(), write);
   ExecContext looped_ctx;
-  std::vector<uint64_t> loop_latencies(offsets.size());
-  for (size_t i = 0; i < offsets.size(); i++) {
-    auto latency = looped.map->LoadLine(looped_ctx, offsets[i], nullptr);
-    ASSERT_TRUE(latency.ok());
-    loop_latencies[i] = *latency;
+  common::Status looped_status;
+  for (vmem::LineOp& op : loop_ops) {
+    auto latency = write ? looped.map->StoreLine(looped_ctx, op.offset, &op.value)
+                         : looped.map->LoadLine(looped_ctx, op.offset, &op.value);
+    if (!latency.ok()) {
+      looped_status = latency.status();
+      break;
+    }
+    op.latency_ns = *latency;
   }
 
+  EXPECT_EQ(batched_status.code(), looped_status.code());
   EXPECT_EQ(batched_ctx.clock.NowNs(), looped_ctx.clock.NowNs());
   ExpectCountersEqual(batched_ctx.counters, looped_ctx.counters);
-  for (size_t i = 0; i < offsets.size(); i++) {
-    ASSERT_EQ(ops[i].latency_ns, loop_latencies[i]) << "latency divergence at op " << i;
+  EXPECT_EQ(batched.handler.faults_, looped.handler.faults_);
+  EXPECT_EQ(batched.dev.cow_chunks_copied(), looped.dev.cow_chunks_copied());
+  for (size_t i = 0; i < ops.size(); i++) {
+    ASSERT_EQ(ops[i].value, loop_ops[i].value) << "value divergence at op " << i;
+    ASSERT_EQ(ops[i].latency_ns, loop_ops[i].latency_ns) << "latency divergence at op " << i;
+  }
+}
+
+// The device bytes under the two beds' mappings are equal. On a COW fork,
+// reading them copies chunks, so call this after comparing chunk counts.
+void ExpectMappedBytesEqual(Bed& a, Bed& b) {
+  const uint64_t map_bytes = a.map->length();
+  EXPECT_EQ(std::memcmp(a.dev.raw_span(4 * kMiB, map_bytes), b.dev.raw_span(4 * kMiB, map_bytes),
+                        map_bytes),
+            0);
+}
+
+// The fast simulator's pipelined AccessLines against its per-op loop, for
+// reads and writes on fresh 2 MiB- and 4 KB-mapped files, so faults fall
+// inside the batch. 8 MiB of base pages = 2048 PTEs overflows the 1536-entry
+// L2, so the 4 KB trace also exercises promotions, walks and LLC fills.
+TEST(SimDiffEngine, AccessLinesMatchesLoadLineLoop) {
+  constexpr uint64_t kMapBytes = 8 * kMiB;
+  for (const bool huge : {true, false}) {
+    for (const bool write : {false, true}) {
+      SCOPED_TRACE(std::string(huge ? "2 MiB-mapped" : "4 KB-mapped") +
+                   (write ? " writes" : " reads"));
+      Bed batched(FastParams(), kMapBytes, huge);
+      Bed looped(FastParams(), kMapBytes, huge);
+      // Distinct bytes everywhere, so every read value says where it came from.
+      for (Bed* bed : {&batched, &looped}) {
+        uint8_t* bytes = bed->dev.raw_span(4 * kMiB, kMapBytes);
+        for (uint64_t i = 0; i < kMapBytes; i++) {
+          bytes[i] = static_cast<uint8_t>(i * 131 + i / 4096);
+        }
+      }
+      const auto ops = LineOps(RandomLineOffsets(100000, kMapBytes, 7), 5);
+      ExpectBatchMatchesLoop(batched, looped, ops, write);
+      ExpectMappedBytesEqual(batched, looped);
+    }
+  }
+}
+
+// An invalid op at index j stops both paths at j with the same status and
+// the same modeled state, however many ops the pipeline had looked past it.
+TEST(SimDiffEngine, PipelinedAccessLinesStopsAtInvalidOp) {
+  constexpr uint64_t kMapBytes = 4 * kMiB;
+  // (j, offset): past the mapping, or 8 bytes leaving their line.
+  const std::pair<size_t, uint64_t> kInvalid[] = {
+      {0, kMapBytes + 64}, {1, 64 * 1000 + 60}, {7, kMapBytes - 4}, {300, kMapBytes + 64},
+      {300, 64 * 1000 + 60}};
+  for (const bool huge : {true, false}) {
+    for (const bool write : {false, true}) {
+      for (const auto& [j, bad] : kInvalid) {
+        SCOPED_TRACE(testing::Message() << (huge ? "huge" : "base") << (write ? " write" : " read")
+                                        << " bad offset " << bad << " at op " << j);
+        Bed batched(FastParams(), kMapBytes, huge);
+        Bed looped(FastParams(), kMapBytes, huge);
+        auto ops = LineOps(RandomLineOffsets(400, kMapBytes, 31 + j), 9);
+        ops[j].offset = bad;
+        ExpectBatchMatchesLoop(batched, looped, ops, write);
+        ExpectMappedBytesEqual(batched, looped);
+      }
+    }
+  }
+}
+
+// On a COW fork, hints for the ops past a failing op must copy no chunk: the
+// batch copies exactly the chunks the per-op loop copies.
+TEST(SimDiffEngine, PipelinedAccessLinesCopiesNoChunkPastFailingOp) {
+  constexpr uint64_t kMapBytes = 4 * kMiB;
+  pmem::PmemDevice image(64 * kMiB);
+  uint8_t* bytes = image.raw_span(4 * kMiB, kMapBytes);
+  for (uint64_t i = 0; i < kMapBytes; i++) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  const pmem::DeviceSnapshot base = image.Snapshot();
+  for (const bool huge : {true, false}) {
+    for (const bool write : {false, true}) {
+      SCOPED_TRACE(std::string(huge ? "huge" : "base") + (write ? " write" : " read"));
+      Bed batched(base, FastParams(), kMapBytes, huge);
+      Bed looped(base, FastParams(), kMapBytes, huge);
+      // Map every page up front (no device byte is touched), so the pipeline
+      // has an address to hint for every op.
+      for (Bed* bed : {&batched, &looped}) {
+        ExecContext ctx;
+        ASSERT_TRUE(bed->map->Prefault(ctx, write).ok());
+        ASSERT_TRUE(bed->dev.is_cow_fork());
+        ASSERT_EQ(bed->dev.cow_chunks_copied(), 0u);
+      }
+      // Ops 0..15 stay in the file's first COW chunk and op 16 is invalid;
+      // the ops after it each sit in a chunk of their own.
+      std::vector<uint64_t> offsets;
+      for (uint64_t i = 0; i < 16; i++) {
+        offsets.push_back(i * 4096 + 64);
+      }
+      offsets.push_back(kMapBytes - 4);
+      for (uint64_t c = 1; c < kMapBytes / pmem::kSnapChunkBytes; c++) {
+        offsets.push_back(c * pmem::kSnapChunkBytes + 128);
+      }
+      ExpectBatchMatchesLoop(batched, looped, LineOps(offsets, 3), write);
+      EXPECT_EQ(batched.dev.cow_chunks_copied(), 1u);
+      ExpectMappedBytesEqual(batched, looped);
+    }
   }
 }
 
