@@ -232,10 +232,8 @@ ExploreResult Explorer::RunWorkload(const Workload& workload) {
       if (config_.archive_dir.empty() || result.archived >= config_.max_archives) {
         return;
       }
-      pmem::DeviceSnapshot snap;
-      snap.bytes = std::make_shared<const std::vector<uint8_t>>(img);
-      snap.model = device.cost();
-      snap.numa_nodes = device.numa_nodes();
+      const pmem::DeviceSnapshot snap =
+          pmem::MakeSnapshot(img, device.cost(), device.numa_nodes());
       std::string provenance = "crashmk;";
       if (!config_.provenance_tag.empty()) {
         provenance += config_.provenance_tag + ";";

@@ -9,69 +9,133 @@ namespace pmem {
 
 using common::kCacheline;
 
+namespace {
+
+// Scans a word at a time; a chunk holding data usually exits on its first
+// words, so only all-zero chunks are read in full.
+bool AllZero(const uint8_t* data, uint64_t len) {
+  uint64_t i = 0;
+  for (; i + sizeof(uint64_t) <= len; i += sizeof(uint64_t)) {
+    uint64_t word = 0;
+    std::memcpy(&word, data + i, sizeof(word));
+    if (word != 0) {
+      return false;
+    }
+  }
+  for (; i < len; i++) {
+    if (data[i] != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
+
+DeviceSnapshot MakeSnapshot(std::vector<uint8_t> bytes, const CostModel& model,
+                            uint32_t numa_nodes) {
+  DeviceSnapshot snap;
+  const uint64_t chunks = ChunkCount(bytes.size());
+  snap.zero_chunks.resize(chunks);
+  for (uint64_t c = 0; c < chunks; c++) {
+    const uint64_t off = c * kSnapChunkBytes;
+    snap.zero_chunks[c] =
+        AllZero(bytes.data() + off, std::min<uint64_t>(kSnapChunkBytes, bytes.size() - off));
+  }
+  snap.bytes = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  snap.model = model;
+  snap.numa_nodes = numa_nodes;
+  return snap;
+}
+
 PmemDevice::PmemDevice(uint64_t size_bytes, CostModel model, uint32_t numa_nodes)
-    : data_(size_bytes, 0), model_(model), numa_nodes_(numa_nodes == 0 ? 1 : numa_nodes) {}
+    : size_(size_bytes),
+      data_(size_bytes, 0),
+      model_(model),
+      numa_nodes_(numa_nodes == 0 ? 1 : numa_nodes) {}
+
+PmemDevice::PmemDevice(std::vector<uint8_t>&& bytes, CostModel model, uint32_t numa_nodes)
+    : size_(bytes.size()),
+      data_(std::move(bytes)),
+      model_(model),
+      numa_nodes_(numa_nodes == 0 ? 1 : numa_nodes) {}
 
 PmemDevice::PmemDevice(const DeviceSnapshot& base)
-    : data_(base.size(), 0),
+    : size_(base.size()),
+      data_(base.size(), 0),
       model_(base.model),
-      numa_nodes_(base.numa_nodes == 0 ? 1 : base.numa_nodes),
-      cow_base_(base.bytes) {
+      numa_nodes_(base.numa_nodes == 0 ? 1 : base.numa_nodes) {
   assert(base.valid());
-  const uint64_t chunks = (data_.size() + kSnapChunkBytes - 1) / kSnapChunkBytes;
+  ForkFrom(base);
+}
+
+void PmemDevice::ForkFrom(const DeviceSnapshot& base) {
+  const uint64_t chunks = ChunkCount(size_);
   cow_present_.assign(chunks, false);
   cow_pending_ = chunks;
-  if (chunks == 0) {
-    cow_base_.reset();
-  } else {
+  if (chunks != 0) {
+    cow_base_ = base;
     cow_active_.store(true, std::memory_order_release);
   }
 }
 
+void PmemDevice::EndFork() {
+  cow_base_ = DeviceSnapshot{};
+  cow_present_.clear();
+  cow_pending_ = 0;
+  cow_active_.store(false, std::memory_order_release);
+}
+
 void PmemDevice::MaterializeRange(uint64_t offset, uint64_t len) {
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   std::lock_guard<std::mutex> guard(cow_fork_mu_);
-  if (cow_base_ == nullptr) {
+  if (!cow_base_.valid()) {
     return;  // raced with the final materialization
+  }
+  if (data_.empty()) {
+    data_.assign(size_, 0);  // this device gave its buffer to a snapshot
   }
   const uint64_t first = offset / kSnapChunkBytes;
   const uint64_t last = (offset + len - 1) / kSnapChunkBytes;
-  const uint8_t* base = cow_base_->data();
+  const uint8_t* base = cow_base_.bytes->data();
   for (uint64_t c = first; c <= last; c++) {
     if (cow_present_[c]) {
       continue;
     }
-    const uint64_t chunk_off = c * kSnapChunkBytes;
-    const uint64_t chunk_len = std::min<uint64_t>(kSnapChunkBytes, data_.size() - chunk_off);
-    std::memcpy(data_.data() + chunk_off, base + chunk_off, chunk_len);
+    // The buffer is zero-filled, so a zero chunk is materialized already.
+    if (!cow_base_.ChunkIsZero(c)) {
+      const uint64_t chunk_off = c * kSnapChunkBytes;
+      const uint64_t chunk_len = std::min<uint64_t>(kSnapChunkBytes, size_ - chunk_off);
+      std::memcpy(data_.data() + chunk_off, base + chunk_off, chunk_len);
+    }
     cow_present_[c] = true;
     cow_chunks_copied_++;
     cow_pending_--;
   }
   if (cow_pending_ == 0) {
-    cow_base_.reset();
-    cow_present_.clear();
-    cow_active_.store(false, std::memory_order_release);
+    EndFork();
   }
 }
 
 void PmemDevice::MaterializeAll() {
-  if (is_cow_fork() && data_.size() > 0) {
-    MaterializeRange(0, data_.size());
+  if (is_cow_fork() && size_ > 0) {
+    MaterializeRange(0, size_);
   }
 }
 
-DeviceSnapshot PmemDevice::Snapshot() const {
-  const_cast<PmemDevice*>(this)->MaterializeAll();
-  DeviceSnapshot snap;
-  snap.bytes = std::make_shared<const std::vector<uint8_t>>(data_);
-  snap.model = model_;
-  snap.numa_nodes = numa_nodes_;
+DeviceSnapshot PmemDevice::Snapshot() {
+  if (is_cow_fork() && cow_pending_ == cow_present_.size()) {
+    return cow_base_;  // nothing materialized: the base is this device's image
+  }
+  MaterializeAll();
+  DeviceSnapshot snap = MakeSnapshot(std::move(data_), model_, numa_nodes_);
+  data_ = std::vector<uint8_t>();
+  ForkFrom(snap);
   return snap;
 }
 
 uint32_t PmemDevice::NumaNodeOf(uint64_t offset) const {
-  const uint64_t region = data_.size() / numa_nodes_;
+  const uint64_t region = size_ / numa_nodes_;
   if (region == 0) {
     return 0;
   }
@@ -117,7 +181,7 @@ void PmemDevice::ChargeFaultDelay(common::ExecContext& ctx) {
 void PmemDevice::Store(common::ExecContext& ctx, uint64_t offset, const void* src,
                        uint64_t len) {
   common::ProfileZone zone(ctx, common::ProfLayer::kDevice);
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   Touch(offset, len);
   std::memcpy(data_.data() + offset, src, len);
   const uint64_t lines = (len + kCacheline - 1) / kCacheline;
@@ -131,7 +195,7 @@ void PmemDevice::Store(common::ExecContext& ctx, uint64_t offset, const void* sr
 void PmemDevice::NtStore(common::ExecContext& ctx, uint64_t offset, const void* src,
                          uint64_t len) {
   common::ProfileZone zone(ctx, common::ProfLayer::kDevice);
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   Touch(offset, len);
   std::memcpy(data_.data() + offset, src, len);
   const uint64_t lines = (len + kCacheline - 1) / kCacheline;
@@ -145,7 +209,7 @@ void PmemDevice::NtStore(common::ExecContext& ctx, uint64_t offset, const void* 
 common::Status PmemDevice::Load(common::ExecContext& ctx, uint64_t offset, void* dst,
                                 uint64_t len, bool sequential) {
   common::ProfileZone zone(ctx, common::ProfLayer::kDevice);
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   const uint64_t lines = (len + kCacheline - 1) / kCacheline;
   ctx.clock.Advance(lines * (sequential ? model_.pm_load_seq_ns : model_.pm_load_random_ns));
   ctx.counters.pm_read_bytes += len;
@@ -241,7 +305,7 @@ void PmemDevice::PersistStore(common::ExecContext& ctx, uint64_t offset, const v
 
 void PmemDevice::Zero(common::ExecContext& ctx, uint64_t offset, uint64_t len) {
   common::ProfileZone zone(ctx, common::ProfLayer::kDevice);
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   Touch(offset, len);
   std::memset(data_.data() + offset, 0, len);
   ctx.clock.Advance(model_.SeqWriteBytes(len));
@@ -252,7 +316,7 @@ void PmemDevice::Zero(common::ExecContext& ctx, uint64_t offset, uint64_t len) {
 }
 
 void PmemDevice::StoreUncharged(uint64_t offset, const void* src, uint64_t len) {
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   Touch(offset, len);
   NoteStoreFaults(offset, len);
   std::memcpy(data_.data() + offset, src, len);
@@ -263,7 +327,7 @@ void PmemDevice::StoreUncharged(uint64_t offset, const void* src, uint64_t len) 
 }
 
 void PmemDevice::ScrubUncharged(uint64_t offset, uint64_t len) {
-  assert(offset + len <= data_.size());
+  assert(offset + len <= size_);
   Touch(offset, len);
   NoteStoreFaults(offset, len);
   std::memset(data_.data() + offset, 0, len);
@@ -323,11 +387,9 @@ std::vector<uint8_t> PmemDevice::CrashImage(const std::vector<size_t>& pending_s
 }
 
 void PmemDevice::RestoreImage(const std::vector<uint8_t>& image) {
-  assert(image.size() == data_.size());
+  assert(image.size() == size_);
   // Full overwrite: any COW backing is obsolete.
-  cow_base_.reset();
-  cow_present_.clear();
-  cow_pending_ = 0;
+  EndFork();
   data_ = image;
   std::lock_guard<std::mutex> guard(crash_mu_);
   if (crash_tracking_) {

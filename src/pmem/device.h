@@ -31,17 +31,34 @@ namespace pmem {
 // chunk size of the on-disk snapshot image format (src/snap).
 inline constexpr uint64_t kSnapChunkBytes = 256 * 1024;
 
+// Number of kSnapChunkBytes chunks that cover `bytes` device bytes.
+inline uint64_t ChunkCount(uint64_t bytes) {
+  return (bytes + kSnapChunkBytes - 1) / kSnapChunkBytes;
+}
+
 // Immutable full-device image plus the geometry needed to recreate an
 // equivalent device. Shareable: any number of COW forks reference one
 // snapshot's bytes without copying them up front.
 struct DeviceSnapshot {
   std::shared_ptr<const std::vector<uint8_t>> bytes;
+  // Per-chunk zero map: zero_chunks[c] is true when chunk c of `bytes` is
+  // all zero. Every producer fills it (MakeSnapshot by one scan, snap's
+  // LoadImage from its stored-chunk list); false only says the chunk may
+  // hold data. Forks skip the copy of a zero chunk, and SaveImage skips it.
+  std::vector<bool> zero_chunks;
   CostModel model;
   uint32_t numa_nodes = 1;
 
   uint64_t size() const { return bytes == nullptr ? 0 : bytes->size(); }
   bool valid() const { return bytes != nullptr; }
+  // True when chunk `c` is known to be all zero; a chunk past the end of the
+  // map is not.
+  bool ChunkIsZero(uint64_t c) const { return c < zero_chunks.size() && zero_chunks[c]; }
 };
+
+// Wraps `bytes` in a snapshot and fills its zero map with one scan.
+DeviceSnapshot MakeSnapshot(std::vector<uint8_t> bytes, const CostModel& model,
+                            uint32_t numa_nodes);
 
 // One not-yet-guaranteed-persistent cacheline: its device offset and payload.
 struct PendingLine {
@@ -58,25 +75,38 @@ class PmemDevice {
   explicit PmemDevice(uint64_t size_bytes, CostModel model = CostModel{},
                       uint32_t numa_nodes = 1);
 
+  // Adopts `bytes` as the device image without copying them (snap's
+  // in-place fsck of a loaded image).
+  PmemDevice(std::vector<uint8_t>&& bytes, CostModel model, uint32_t numa_nodes);
+
   // Copy-on-write fork: the device starts as a logical copy of `base` but
   // copies each kSnapChunkBytes chunk only on first access, so forking a
   // mostly-idle aged image costs far less than re-aging or deep-copying.
-  // Forks are fully isolated from the base and from each other.
+  // The fork zero-fills its own buffer here, at construction, so a first
+  // access costs at most one chunk copy and never page faults; a chunk the
+  // base's zero map marks all zero is not even copied. Forks are fully
+  // isolated from the base and from each other.
   explicit PmemDevice(const DeviceSnapshot& base);
 
-  uint64_t size() const { return data_.size(); }
+  uint64_t size() const { return size_; }
   const CostModel& cost() const { return model_; }
   uint32_t numa_nodes() const { return numa_nodes_; }
   uint32_t NumaNodeOf(uint64_t offset) const;
 
-  // Deep-copies the current volatile image into a shareable snapshot (the
-  // input to COW forks and to the src/snap on-disk image writer).
-  DeviceSnapshot Snapshot() const;
+  // Hands the current volatile image to a shareable snapshot (the input to
+  // COW forks and to the src/snap image writer) without copying it, and
+  // fills the snapshot's zero map with one scan. The device then continues
+  // as a COW fork of that snapshot and allocates a buffer of its own only
+  // when it next needs a byte, so no pointer from raw() or raw_span() may be
+  // held across this call. A fork that has materialized nothing returns its
+  // base. Not safe while other threads access the device.
+  DeviceSnapshot Snapshot();
 
   // True while this fork still has unmaterialized chunks backed by its base.
   bool is_cow_fork() const { return cow_active_.load(std::memory_order_acquire); }
-  // Chunks copied from the base so far (lazy-fork observability; tests assert
-  // a fork that touched little copied little).
+  // Chunks materialized from the base so far, whether copied or known zero
+  // (lazy-fork observability; tests assert a fork that touched little
+  // materialized little).
   uint64_t cow_chunks_copied() const { return cow_chunks_copied_; }
 
   // Raw access to the current (volatile) image. Used by readers and by
@@ -104,8 +134,15 @@ class PmemDevice {
   }
   // Host cache hint for the device byte at `offset` (< size()). It reads
   // data_ directly, so it never materializes a COW chunk: a hint at one not
-  // yet copied is wasted, never wrong.
-  void PrefetchHint(uint64_t offset) const { common::PrefetchLine(data_.data() + offset); }
+  // yet copied is wasted, never wrong, and a device without a buffer (it gave
+  // its bytes to a snapshot) takes no hint. It reads data_ without
+  // cow_fork_mu_, so it must not race the access that allocates that buffer
+  // again.
+  void PrefetchHint(uint64_t offset) const {
+    if (offset < data_.size()) {
+      common::PrefetchLine(data_.data() + offset);
+    }
+  }
   // --- Store/load API used by filesystems (syscall paths) ---------------
 
   // Regular (cached) store: data is volatile until Clwb+Fence.
@@ -195,7 +232,8 @@ class PmemDevice {
   // possible post-crash device state.
   std::vector<uint8_t> CrashImage(const std::vector<size_t>& pending_subset) const;
 
-  // Replaces the device contents (used to "reboot" into a crash state).
+  // Replaces the device contents (used to "reboot" into a crash state). A
+  // fork stops being one; the snapshots it shared stay unchanged.
   void RestoreImage(const std::vector<uint8_t>& image);
 
   // Marks everything persistent (e.g. after mkfs, before the tracked workload).
@@ -228,6 +266,11 @@ class PmemDevice {
   }
   void MaterializeRange(uint64_t offset, uint64_t len);
   void MaterializeAll();
+  // Makes this device a COW fork of `base` with nothing materialized.
+  void ForkFrom(const DeviceSnapshot& base);
+  // Drops the fork state: the device is plain from here on. Caller holds
+  // cow_fork_mu_ or is the only thread using the device.
+  void EndFork();
 
   void RecordStore(uint64_t offset, uint64_t len, bool flushed);
   // Charges an injected latency spike (if the plan fires) to ctx.
@@ -239,14 +282,17 @@ class PmemDevice {
     }
   }
 
+  uint64_t size_;
+  // The device image. Empty after Snapshot() handed it away, until the
+  // device next needs a byte (MaterializeRange allocates it again).
   std::vector<uint8_t> data_;
   CostModel model_;
   uint32_t numa_nodes_;
   FaultInjector* injector_ = nullptr;
 
   // COW-fork state: base image plus the per-chunk materialization map. Freed
-  // once every chunk has been copied (the fork is then a plain device).
-  std::shared_ptr<const std::vector<uint8_t>> cow_base_;
+  // once every chunk has been materialized (the fork is then a plain device).
+  DeviceSnapshot cow_base_;
   std::vector<bool> cow_present_;
   uint64_t cow_pending_ = 0;
   uint64_t cow_chunks_copied_ = 0;

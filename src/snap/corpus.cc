@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <filesystem>
 
-#include "src/fs/fscore/fsck.h"
 
 namespace snap {
 namespace {
@@ -102,7 +101,9 @@ common::Result<pmem::DeviceSnapshot> Corpus::TryLoad(const ImageKey& key) {
     return Status(ErrorCode::kNotFound);
   }
   const uint64_t start_ms = NowMs();
-  auto loaded = LoadImage(path);
+  // A filesystem image must be a structurally consistent unmounted
+  // filesystem before any bench trusts it.
+  auto loaded = LoadCheckedImage(path);
   if (!loaded.ok()) {
     stats_.rejects++;
     stats_.load_wall_ms += NowMs() - start_ms;
@@ -115,17 +116,6 @@ common::Result<pmem::DeviceSnapshot> Corpus::TryLoad(const ImageKey& key) {
     stats_.rejects++;
     stats_.load_wall_ms += NowMs() - start_ms;
     return Status(ErrorCode::kNotFound);
-  }
-  if (loaded->info.kind == ImageKind::kFilesystem) {
-    // fsck on a throwaway COW fork: the stored image must be a structurally
-    // consistent unmounted filesystem before any bench trusts it.
-    pmem::PmemDevice probe(loaded->snapshot);
-    const fscore::FsckReport report = fscore::CheckImage(probe);
-    if (!report.ok()) {
-      stats_.rejects++;
-      stats_.load_wall_ms += NowMs() - start_ms;
-      return Status(ErrorCode::kCorrupt);
-    }
   }
   stats_.hits++;
   stats_.loaded_bytes += std::filesystem::file_size(path, ec);

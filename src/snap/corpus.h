@@ -4,8 +4,8 @@
 // image (filesystem, device geometry, aging profile + seed, target
 // utilization, churn multiplier, format version) — to an image file in a
 // corpus directory. Benches ask LoadOrBuild / LoadOrBuildSweep for the image
-// they need: a warm corpus answers from disk (after fsck-validating a COW
-// fork), a cold one runs the caller's builder and saves the result for next
+// they need: a warm corpus answers from disk (after fsck-validating the
+// loaded bytes in place), a cold one runs the caller's builder and saves the result for next
 // time. With no corpus directory configured the Corpus is disabled and
 // degrades to always-build/never-save, so default test runs are byte-for-byte
 // identical to a world without src/snap.
@@ -75,10 +75,10 @@ class Corpus {
   // Path the image for `key` lives at (valid only when enabled).
   std::string PathFor(const ImageKey& key) const;
 
-  // Loads and validates the stored image for `key`. Non-ok on any miss:
-  // absent file (kNotFound), unreadable/corrupt/stale image, provenance
-  // mismatch, or fsck failure on a COW fork (kCorrupt). A damaged stored
-  // image is a miss, never an error the caller has to handle specially.
+  // Loads and validates the stored image for `key` (LoadCheckedImage). Non-ok
+  // on any miss: absent file (kNotFound), unreadable/corrupt/stale image,
+  // fsck failure (kCorrupt), or provenance mismatch. A damaged stored image
+  // is a miss, never an error the caller has to handle specially.
   common::Result<pmem::DeviceSnapshot> TryLoad(const ImageKey& key);
 
   // Saves a built image under `key` (no-op when disabled).

@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "src/fs/fscore/fsck.h"
+
 namespace snap {
 namespace {
 
@@ -77,23 +79,44 @@ class Reader {
   std::FILE* f_;
 };
 
-// Scans a word at a time; a chunk holding data usually exits on its first
-// words, so only all-zero chunks are read in full.
-bool AllZero(const uint8_t* data, uint64_t len) {
-  uint64_t i = 0;
-  for (; i + sizeof(uint64_t) <= len; i += sizeof(uint64_t)) {
-    uint64_t word = 0;
-    std::memcpy(&word, data + i, sizeof(word));
-    if (word != 0) {
-      return false;
-    }
+constexpr uint64_t kFnvBasis = 14695981039346656037ull;
+constexpr uint64_t kFnvPrime = 1099511628211ull;
+
+// Chunk checksums are computed kLanes chunks per pass.
+constexpr size_t kLanes = 4;
+
+// One chunk of an image buffer: its payload and the checksum stored or to be
+// stored for it.
+struct ChunkRef {
+  uint64_t index = 0;
+  const uint8_t* data = nullptr;
+  uint64_t len = 0;
+  uint64_t csum = 0;
+};
+
+// FNV-1a of chunks[0..n), n <= kLanes, in one pass: out[k] equals
+// Fnv1a(chunks[k].data, chunks[k].len). The lanes' multiply chains are
+// independent, so they overlap instead of each byte waiting out the previous
+// byte's multiply. Lanes past n hash chunk 0 again.
+void ChunkSums(const ChunkRef* chunks, size_t n, uint64_t out[kLanes]) {
+  const uint8_t* p[kLanes];
+  uint64_t len[kLanes];
+  for (size_t k = 0; k < kLanes; k++) {
+    const ChunkRef& chunk = chunks[k < n ? k : 0];
+    p[k] = chunk.data;
+    len[k] = chunk.len;
   }
-  for (; i < len; i++) {
-    if (data[i] != 0) {
-      return false;
-    }
+  const uint64_t common = std::min({len[0], len[1], len[2], len[3]});
+  uint64_t h[kLanes] = {kFnvBasis, kFnvBasis, kFnvBasis, kFnvBasis};
+  for (uint64_t i = 0; i < common; i++) {
+    h[0] = (h[0] ^ p[0][i]) * kFnvPrime;
+    h[1] = (h[1] ^ p[1][i]) * kFnvPrime;
+    h[2] = (h[2] ^ p[2][i]) * kFnvPrime;
+    h[3] = (h[3] ^ p[3][i]) * kFnvPrime;
   }
-  return true;
+  for (size_t k = 0; k < kLanes; k++) {
+    out[k] = Fnv1a(p[k] + common, len[k] - common, h[k]);
+  }
 }
 
 struct FileCloser {
@@ -193,7 +216,7 @@ Status ParseHeader(Reader& r, ImageInfo* info) {
 uint64_t Fnv1a(const uint8_t* data, uint64_t len, uint64_t hash) {
   for (uint64_t i = 0; i < len; i++) {
     hash ^= data[i];
-    hash *= 1099511628211ull;
+    hash *= kFnvPrime;
   }
   return hash;
 }
@@ -211,7 +234,6 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
     return Status(ErrorCode::kInvalidArgument);
   }
   const std::vector<uint8_t>& bytes = *snap.bytes;
-  const uint64_t chunks = (bytes.size() + pmem::kSnapChunkBytes - 1) / pmem::kSnapChunkBytes;
 
   ImageInfo info;
   info.format_version = kSnapFormatVersion;
@@ -220,13 +242,14 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
   info.numa_nodes = snap.numa_nodes;
   info.model = snap.model;
   info.provenance = provenance;
-  // One zero scan: the header needs the stored-chunk count up front.
-  std::vector<uint64_t> stored;
-  for (uint64_t c = 0; c < chunks; c++) {
-    const uint64_t off = c * pmem::kSnapChunkBytes;
-    const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
-    if (!AllZero(bytes.data() + off, len)) {
-      stored.push_back(c);
+  // The snapshot's zero map names the chunks to store; the header needs
+  // their count up front.
+  std::vector<ChunkRef> stored;
+  for (uint64_t c = 0; c < pmem::ChunkCount(bytes.size()); c++) {
+    if (!snap.ChunkIsZero(c)) {
+      const uint64_t off = c * pmem::kSnapChunkBytes;
+      stored.push_back(ChunkRef{c, bytes.data() + off,
+                                std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off)});
     }
   }
   info.stored_chunks = stored.size();
@@ -243,15 +266,18 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
     std::remove(tmp.c_str());
     return Status(ErrorCode::kIoError);
   }
-  for (const uint64_t c : stored) {
-    const uint64_t off = c * pmem::kSnapChunkBytes;
-    const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
-    const uint64_t csum = Fnv1a(bytes.data() + off, len);
-    if (std::fwrite(&c, 1, sizeof(c), f.get()) != sizeof(c) ||
-        std::fwrite(&csum, 1, sizeof(csum), f.get()) != sizeof(csum) ||
-        std::fwrite(bytes.data() + off, 1, len, f.get()) != len) {
-      std::remove(tmp.c_str());
-      return Status(ErrorCode::kIoError);
+  for (size_t first = 0; first < stored.size(); first += kLanes) {
+    const size_t n = std::min(kLanes, stored.size() - first);
+    uint64_t csums[kLanes];
+    ChunkSums(&stored[first], n, csums);
+    for (size_t k = 0; k < n; k++) {
+      const ChunkRef& chunk = stored[first + k];
+      if (std::fwrite(&chunk.index, 1, sizeof(chunk.index), f.get()) != sizeof(chunk.index) ||
+          std::fwrite(&csums[k], 1, sizeof(csums[k]), f.get()) != sizeof(csums[k]) ||
+          std::fwrite(chunk.data, 1, chunk.len, f.get()) != chunk.len) {
+        std::remove(tmp.c_str());
+        return Status(ErrorCode::kIoError);
+      }
     }
   }
   if (std::fflush(f.get()) != 0) {
@@ -266,40 +292,107 @@ common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& sn
   return common::OkStatus();
 }
 
-common::Result<LoadedImage> LoadImage(const std::string& path) {
+namespace {
+
+// Reads the image at `path` into `out` (all but the snapshot's bytes) and
+// into `*bytes`, which the caller owns. The zero map marks every chunk
+// without a record. Records are read kLanes at a time and checksummed in one
+// pass; a record that cannot be read ends its group early, and the records
+// read before it are verified first, so the error reported is always the
+// first one in file order.
+Status ReadImage(const std::string& path, LoadedImage* out, std::vector<uint8_t>* bytes) {
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (f == nullptr) {
     return Status(ErrorCode::kIoError);
   }
   Reader r(f.get());
-  LoadedImage out;
-  RETURN_IF_ERROR(ParseHeader(r, &out.info));
+  ImageInfo* info = &out->info;
+  RETURN_IF_ERROR(ParseHeader(r, info));
+  out->snapshot.model = info->model;
+  out->snapshot.numa_nodes = info->numa_nodes;
+  std::vector<bool>* zero_chunks = &out->snapshot.zero_chunks;
 
-  const uint64_t total_chunks =
-      (out.info.device_bytes + pmem::kSnapChunkBytes - 1) / pmem::kSnapChunkBytes;
-  auto bytes = std::make_shared<std::vector<uint8_t>>(out.info.device_bytes, 0);
-  for (uint64_t i = 0; i < out.info.stored_chunks; i++) {
+  const uint64_t total_chunks = pmem::ChunkCount(info->device_bytes);
+  bytes->assign(info->device_bytes, 0);
+  zero_chunks->assign(total_chunks, true);
+  ChunkRef group[kLanes];
+  size_t pending = 0;
+  // Verifies and empties the group; false on a checksum mismatch.
+  auto verify = [&]() {
+    uint64_t csums[kLanes];
+    ChunkSums(group, pending, csums);
+    for (size_t k = 0; k < pending; k++) {
+      if (csums[k] != group[k].csum) {
+        return false;
+      }
+    }
+    pending = 0;
+    return true;
+  };
+  for (uint64_t i = 0; i < info->stored_chunks; i++) {
     uint64_t index = 0;
     uint64_t csum = 0;
+    Status error;
     if (!r.U64(&index) || !r.U64(&csum)) {
-      return Status(ErrorCode::kIoError);  // truncated chunk table
+      error = Status(ErrorCode::kIoError);  // truncated chunk table
+    } else if (index >= total_chunks) {
+      error = Status(ErrorCode::kCorrupt);
+    } else {
+      // A chunk stored twice must not overwrite a payload not yet verified.
+      const bool repeat = std::any_of(group, group + pending,
+                                      [&](const ChunkRef& c) { return c.index == index; });
+      if (repeat && !verify()) {
+        return Status(ErrorCode::kCorrupt);
+      }
+      const uint64_t off = index * pmem::kSnapChunkBytes;
+      ChunkRef& chunk = group[pending];
+      chunk = ChunkRef{index, bytes->data() + off,
+                       std::min<uint64_t>(pmem::kSnapChunkBytes, info->device_bytes - off), csum};
+      if (!r.Raw(bytes->data() + off, chunk.len)) {
+        error = Status(ErrorCode::kIoError);  // short read of chunk payload
+      }
     }
-    if (index >= total_chunks) {
-      return Status(ErrorCode::kCorrupt);
+    if (!error.ok()) {
+      return verify() ? error : Status(ErrorCode::kCorrupt);
     }
-    const uint64_t off = index * pmem::kSnapChunkBytes;
-    const uint64_t len =
-        std::min<uint64_t>(pmem::kSnapChunkBytes, out.info.device_bytes - off);
-    if (!r.Raw(bytes->data() + off, len)) {
-      return Status(ErrorCode::kIoError);  // short read of chunk payload
-    }
-    if (Fnv1a(bytes->data() + off, len) != csum) {
+    (*zero_chunks)[index] = false;
+    if (++pending == kLanes && !verify()) {
       return Status(ErrorCode::kCorrupt);
     }
   }
-  out.snapshot.bytes = std::move(bytes);
-  out.snapshot.model = out.info.model;
-  out.snapshot.numa_nodes = out.info.numa_nodes;
+  return verify() ? common::OkStatus() : Status(ErrorCode::kCorrupt);
+}
+
+}  // namespace
+
+common::Result<LoadedImage> LoadImage(const std::string& path) {
+  LoadedImage out;
+  std::vector<uint8_t> bytes;
+  RETURN_IF_ERROR(ReadImage(path, &out, &bytes));
+  out.snapshot.bytes = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+  return out;
+}
+
+common::Result<LoadedImage> LoadCheckedImage(const std::string& path,
+                                             fscore::FsckReport* fsck) {
+  LoadedImage out;
+  std::vector<uint8_t> bytes;
+  RETURN_IF_ERROR(ReadImage(path, &out, &bytes));
+  if (out.info.kind != ImageKind::kFilesystem) {
+    out.snapshot.bytes = std::make_shared<const std::vector<uint8_t>>(std::move(bytes));
+    return out;
+  }
+  // fsck in place: a device adopts the loaded bytes, and Snapshot() hands
+  // them back, so no second device-sized buffer is filled.
+  pmem::PmemDevice device(std::move(bytes), out.info.model, out.info.numa_nodes);
+  const fscore::FsckReport report = fscore::CheckImage(device);
+  if (fsck != nullptr) {
+    *fsck = report;
+  }
+  if (!report.ok()) {
+    return Status(ErrorCode::kCorrupt);
+  }
+  out.snapshot = device.Snapshot();
   return out;
 }
 

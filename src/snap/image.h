@@ -19,6 +19,10 @@
 #include "src/common/status.h"
 #include "src/pmem/device.h"
 
+namespace fscore {
+struct FsckReport;
+}  // namespace fscore
+
 namespace snap {
 
 // Bump on any incompatible change to the header schema, chunk encoding,
@@ -55,16 +59,25 @@ uint64_t Fnv1a(const uint8_t* data, uint64_t len, uint64_t hash = 14695981039346
 // Content hash of a full device snapshot (determinism audits; snapctl list).
 uint64_t ContentHash(const pmem::DeviceSnapshot& snap);
 
-// Writes `snap` to `path` atomically (tmp file + rename). Overwrites any
-// existing image. kIoError on filesystem failures.
+// Writes `snap` to `path` atomically (tmp file + rename), storing every
+// chunk its zero map does not mark all zero. Overwrites any existing image.
+// kIoError on filesystem failures.
 common::Status SaveImage(const std::string& path, const pmem::DeviceSnapshot& snap,
                          ImageKind kind, const std::string& provenance);
 
-// Loads a full image. Typed failures: kIoError (unreadable / short read),
-// kCorrupt (bad magic, header or chunk checksum mismatch, out-of-range chunk),
-// kNotSupported (format version != kSnapFormatVersion). Never returns a
-// partially-filled snapshot.
+// Loads a full image, with the snapshot's zero map taken from the stored
+// chunk list. Typed failures: kIoError (unreadable / short read), kCorrupt
+// (bad magic, header or chunk checksum mismatch, out-of-range chunk),
+// kNotSupported (format version != kSnapFormatVersion); with several, the
+// first in file order. Never returns a partially-filled snapshot.
 common::Result<LoadedImage> LoadImage(const std::string& path);
+
+// LoadImage plus, for a kFilesystem image, fsck (fscore::CheckImage) over the
+// loaded bytes in place: a device adopts them, the check runs, and the
+// device's Snapshot() hands them back. A failed check is kCorrupt. `fsck`,
+// when given, receives the check's report.
+common::Result<LoadedImage> LoadCheckedImage(const std::string& path,
+                                             fscore::FsckReport* fsck = nullptr);
 
 // Header-only probe (cheap; used by snapctl list/gc and corpus key checks).
 common::Result<ImageInfo> ReadImageInfo(const std::string& path);

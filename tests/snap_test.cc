@@ -5,7 +5,9 @@
 // lineup, and crashmk snapshot archiving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -50,6 +52,68 @@ void ScribbleDevice(pmem::PmemDevice& dev) {
   }
 }
 
+// Zero map of `bytes` counted afresh, one entry per kSnapChunkBytes chunk.
+std::vector<bool> RecountZeroChunks(const std::vector<uint8_t>& bytes) {
+  std::vector<bool> zero(pmem::ChunkCount(bytes.size()));
+  for (uint64_t c = 0; c < zero.size(); c++) {
+    const auto first = bytes.begin() + static_cast<std::ptrdiff_t>(c * pmem::kSnapChunkBytes);
+    const auto last = bytes.begin() + static_cast<std::ptrdiff_t>(std::min<uint64_t>(
+                                          (c + 1) * pmem::kSnapChunkBytes, bytes.size()));
+    zero[c] = std::all_of(first, last, [](uint8_t b) { return b == 0; });
+  }
+  return zero;
+}
+
+// Format v1 written the plain way: serial FNV-1a over the header and over
+// each non-zero chunk, records in chunk order.
+std::vector<uint8_t> ReferenceImage(const std::vector<uint8_t>& bytes,
+                                    const pmem::CostModel& model, uint32_t numa_nodes,
+                                    snap::ImageKind kind, const std::string& provenance) {
+  std::vector<uint8_t> out;
+  auto put = [&out](const void* data, uint64_t len) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    out.insert(out.end(), p, p + len);
+  };
+  auto u32 = [&put](uint32_t v) { put(&v, sizeof(v)); };
+  auto u64 = [&put](uint64_t v) { put(&v, sizeof(v)); };
+  const std::vector<bool> zero = RecountZeroChunks(bytes);
+  u64(0x31474d4950414e53ull);  // "SNAPIMG1"
+  u32(1);
+  u32(static_cast<uint32_t>(kind));
+  u64(bytes.size());
+  u64(pmem::kSnapChunkBytes);
+  u32(numa_nodes);
+  u64(static_cast<uint64_t>(std::count(zero.begin(), zero.end(), false)));
+  u32(14);
+  for (const uint64_t field :
+       {model.pm_load_random_ns, model.pm_load_seq_ns, model.pm_store_ns, model.pm_store_seq_ns,
+        model.clwb_ns, model.sfence_ns, model.dram_load_ns, model.llc_hit_ns,
+        model.fault_base_ns, model.fault_huge_extra_ns, model.zero_4k_ns,
+        model.tlb_walk_level_ns, model.syscall_trap_ns, model.vfs_path_component_ns}) {
+    u64(field);
+  }
+  u32(static_cast<uint32_t>(provenance.size()));
+  put(provenance.data(), provenance.size());
+  u64(snap::Fnv1a(out.data(), out.size()));
+  for (uint64_t c = 0; c < zero.size(); c++) {
+    if (zero[c]) {
+      continue;
+    }
+    const uint64_t off = c * pmem::kSnapChunkBytes;
+    const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
+    u64(c);
+    u64(snap::Fnv1a(bytes.data() + off, len));
+    put(bytes.data() + off, len);
+  }
+  return out;
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<uint8_t>(std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>());
+}
+
 TEST(SnapImage, RoundTripIsByteIdentical) {
   pmem::CostModel model;
   model.pm_store_ns = 77;  // non-default, must survive the trip
@@ -89,6 +153,41 @@ TEST(SnapImage, SparseImageSkipsZeroChunks) {
   auto loaded = snap::LoadImage(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(*loaded->snapshot.bytes, *dev.Snapshot().bytes);
+}
+
+// Chunk checksums are computed four chunks per pass, yet the file is the one
+// a serial FNV-1a writer produces, for groups that are full, partial or
+// empty and for a short last chunk; loading it gives back the bytes and a
+// zero map equal to a recount.
+TEST(SnapImage, SaveMatchesSerialReferenceWriter) {
+  const uint64_t device_bytes = 10 * pmem::kSnapChunkBytes + 5000;  // 11 chunks
+  const std::vector<std::vector<uint64_t>> layouts = {
+      {}, {10}, {0, 4, 10}, {1, 2, 3, 9}, {0, 2, 4, 6, 10}, {0, 1, 2, 3, 4, 5, 6, 7, 10}};
+  for (const std::vector<uint64_t>& chunks : layouts) {
+    SCOPED_TRACE("stored chunks " + std::to_string(chunks.size()));
+    pmem::CostModel model;
+    model.clwb_ns = 91;
+    pmem::PmemDevice dev(device_bytes, model, /*numa_nodes=*/2);
+    ExecContext ctx;
+    for (const uint64_t c : chunks) {
+      std::vector<uint8_t> data(3000);
+      for (size_t i = 0; i < data.size(); i++) {
+        data[i] = static_cast<uint8_t>(c * 31 + i * 7 + 1);
+      }
+      const uint64_t off = std::min(c * pmem::kSnapChunkBytes + 1000, device_bytes - 3000);
+      dev.Store(ctx, off, data.data(), data.size());
+    }
+    const pmem::DeviceSnapshot snap = dev.Snapshot();
+    const std::string path = TempPath("reference_" + std::to_string(chunks.size()) + ".snap");
+    ASSERT_TRUE(snap::SaveImage(path, snap, snap::ImageKind::kFilesystem, "test;ref").ok());
+    EXPECT_EQ(ReadFile(path), ReferenceImage(*snap.bytes, model, 2,
+                                             snap::ImageKind::kFilesystem, "test;ref"));
+    auto loaded = snap::LoadImage(path);
+    ASSERT_TRUE(loaded.ok());
+    EXPECT_EQ(loaded->info.stored_chunks, chunks.size());
+    EXPECT_EQ(*loaded->snapshot.bytes, *snap.bytes);
+    EXPECT_EQ(loaded->snapshot.zero_chunks, RecountZeroChunks(*snap.bytes));
+  }
 }
 
 TEST(SnapCow, ForksAreIsolatedFromBaseAndEachOther) {
@@ -261,6 +360,47 @@ TEST_F(SnapDamageTest, TruncatedInsideEveryChunkRecordIsIoError) {
   }
 }
 
+// Records are verified four at a time, but the error reported is still the
+// first in file order: a damaged payload read before a truncation is
+// kCorrupt, and a truncation read before a damaged byte is kIoError.
+TEST_F(SnapDamageTest, FirstErrorInFileOrderWins) {
+  ASSERT_NO_FATAL_FAILURE(ReadLayout());
+  ASSERT_EQ(stored_chunks_, 4u);  // one full group
+  auto record = [&](uint64_t rec) {
+    return header_bytes_ + rec * (kRecordHead + pmem::kSnapChunkBytes);
+  };
+  auto load_damaged = [&](uint64_t flip, uint64_t cut) {
+    std::vector<char> bytes(image_.begin(), image_.begin() + static_cast<std::ptrdiff_t>(cut));
+    if (flip < cut) {
+      bytes[flip] = static_cast<char>(bytes[flip] ^ 0x40);
+    }
+    const std::string damaged_path = path_ + ".damaged";
+    {
+      std::ofstream out(damaged_path, std::ios::binary | std::ios::trunc);
+      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    }
+    auto loaded = snap::LoadImage(damaged_path);
+    std::remove(damaged_path.c_str());
+    return loaded.ok() ? ErrorCode::kOk : loaded.status().code();
+  };
+  const uint64_t half = pmem::kSnapChunkBytes / 2;
+  // Damage in record k, truncation later in the same group.
+  EXPECT_EQ(load_damaged(record(1) + kRecordHead + 9, record(2) + kRecordHead + half),
+            ErrorCode::kCorrupt);
+  EXPECT_EQ(load_damaged(record(0) + kRecordHead, record(3) + 5), ErrorCode::kCorrupt);
+  EXPECT_EQ(load_damaged(record(2) + kRecordHead + 1, record(3) + kRecordHead),
+            ErrorCode::kCorrupt);
+  // Truncation first: inside record 1, ahead of the damage in record 2, and
+  // inside record 1's payload past a damaged byte of that same payload.
+  EXPECT_EQ(load_damaged(record(2) + kRecordHead + 9, record(1) + kRecordHead + half),
+            ErrorCode::kIoError);
+  EXPECT_EQ(load_damaged(record(1) + kRecordHead + 9, record(1) + kRecordHead + half),
+            ErrorCode::kIoError);
+  // Either alone.
+  EXPECT_EQ(load_damaged(record(3) + kRecordHead + half, image_.size()), ErrorCode::kCorrupt);
+  EXPECT_EQ(load_damaged(image_.size(), record(3) + kRecordHead + half), ErrorCode::kIoError);
+}
+
 TEST_F(SnapDamageTest, FlippedHeaderByteIsCorrupt) {
   PatchByte(20, 0x7f);  // inside device_bytes: header checksum must catch it
   auto loaded = snap::LoadImage(path_);
@@ -367,6 +507,36 @@ TEST(SnapCorpus, NonFilesystemGarbageFailsFsckOnLoad) {
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupt);
   EXPECT_EQ(corpus.stats().rejects, 1u);
+}
+
+// fsck-on-load runs over the loaded bytes in place: a good image comes back
+// equal to the saved device, and an image whose superblock is damaged is
+// still rejected with kCorrupt and an fsck report saying why.
+TEST(SnapCorpus, CheckedLoadServesSavedDeviceAndRejectsBrokenFs) {
+  const std::string dir = TempPath("corpus_checked");
+  std::filesystem::remove_all(dir);
+  snap::Corpus corpus(dir);
+  const snap::ImageKey key = TestKey("winefs", 64 * kMiB);
+  const pmem::DeviceSnapshot saved = MakeFsSnapshot("winefs", 64 * kMiB);
+  ASSERT_TRUE(corpus.Save(key, saved).ok());
+  auto loaded = corpus.TryLoad(key);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ(*loaded->bytes, *saved.bytes);
+  EXPECT_EQ(loaded->zero_chunks, RecountZeroChunks(*saved.bytes));
+
+  pmem::PmemDevice broken(saved);
+  std::memset(broken.raw(), 0xff, 64);  // primary superblock
+  snap::ImageKey broken_key = key;
+  broken_key.seed = 4;
+  ASSERT_TRUE(corpus.Save(broken_key, broken.Snapshot()).ok());
+  auto rejected = corpus.TryLoad(broken_key);
+  ASSERT_FALSE(rejected.ok());
+  EXPECT_EQ(rejected.status().code(), ErrorCode::kCorrupt);
+  fscore::FsckReport report;
+  auto direct = snap::LoadCheckedImage(corpus.PathFor(broken_key), &report);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_EQ(direct.status().code(), ErrorCode::kCorrupt);
+  EXPECT_FALSE(report.ok());
 }
 
 TEST(SnapCorpus, SweepChainBuildsOnceThenHits) {
@@ -526,6 +696,8 @@ TEST(SnapCrashArchive, ArchivedStatesReplay) {
     ASSERT_TRUE(loaded.ok());
     EXPECT_EQ(loaded->info.kind, snap::ImageKind::kCrashState);
     EXPECT_NE(loaded->info.provenance.find("crashmk;op=create /newfile"), std::string::npos);
+    // The archive stored exactly the non-zero chunks of the crash image.
+    EXPECT_EQ(loaded->snapshot.zero_chunks, RecountZeroChunks(*loaded->snapshot.bytes));
     // Replay: mount-time recovery must succeed on a fork of the torn image.
     pmem::PmemDevice fork(loaded->snapshot);
     auto fs = factory(&fork);

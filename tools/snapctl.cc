@@ -3,9 +3,10 @@
 //   snapctl list   [dir]                 table of images: kind, size, device,
 //                                        numa, chunks, provenance
 //   snapctl verify [dir]                 full validation of every image:
-//                                        header + chunk checksums, and fsck on
-//                                        a COW fork for filesystem images;
-//                                        non-zero exit if anything fails
+//                                        header + chunk checksums, and fsck
+//                                        over the loaded bytes for filesystem
+//                                        images; non-zero exit if anything
+//                                        fails
 //   snapctl gc     [dir]                 delete stale-format and corrupt
 //                                        images (what a version bump leaves
 //                                        behind)
@@ -87,21 +88,17 @@ int Verify(const std::string& dir) {
   int failures = 0;
   const auto paths = ImagePaths(dir);
   for (const std::string& path : paths) {
-    auto loaded = snap::LoadImage(path);
+    fscore::FsckReport fsck;
+    auto loaded = snap::LoadCheckedImage(path, &fsck);
     if (!loaded.ok()) {
-      std::printf("FAIL %s: %s\n", path.c_str(),
-                  std::string(loaded.status().message()).c_str());
+      if (!fsck.ok()) {
+        std::printf("FAIL %s: fsck: %s\n", path.c_str(), fsck.Summary().c_str());
+      } else {
+        std::printf("FAIL %s: %s\n", path.c_str(),
+                    std::string(loaded.status().message()).c_str());
+      }
       failures++;
       continue;
-    }
-    if (loaded->info.kind == snap::ImageKind::kFilesystem) {
-      pmem::PmemDevice probe(loaded->snapshot);
-      const fscore::FsckReport report = fscore::CheckImage(probe);
-      if (!report.ok()) {
-        std::printf("FAIL %s: fsck: %s\n", path.c_str(), report.Summary().c_str());
-        failures++;
-        continue;
-      }
     }
     std::printf("ok   %s (%s, hash=%016llx)\n", path.c_str(), KindName(loaded->info.kind),
                 static_cast<unsigned long long>(snap::ContentHash(loaded->snapshot)));
