@@ -6,7 +6,7 @@
 //  - aligned-file overwrite throughput + hugepage retention (hybrid atomicity)
 #include "bench/bench_util.h"
 #include "src/fs/winefs/winefs.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 using benchutil::Fmt;
 using benchutil::Row;
@@ -76,7 +76,7 @@ VariantResult Measure(bool alignment_aware, bool per_cpu_journals, bool hybrid) 
       (void)fs->Mkdir(setup, "/t" + std::to_string(t));
     }
     std::vector<uint8_t> buf(4096, 2);
-    wload::SimRunner runner(16, 16, setup.clock.NowNs());
+    wload::ParallelRunner runner(16, 16, setup.clock.NowNs());
     auto result = runner.Run(200, [&](uint32_t tid, uint64_t i, ExecContext& ctx) {
       const std::string path = "/t" + std::to_string(tid) + "/f" + std::to_string(i);
       auto fd = fs->Open(ctx, path, vfs::OpenFlags::Create());
@@ -88,8 +88,8 @@ VariantResult Measure(bool alignment_aware, bool per_cpu_journals, bool hybrid) 
       (void)fs->Close(ctx, *fd);
       return fs->Unlink(ctx, path).ok();
     });
-    out.scal_kops = result.OpsPerSecond() / 1000.0;
-    out.counters.Add(result.counters);
+    out.scal_kops = result.run.OpsPerSecond() / 1000.0;
+    out.counters.Add(result.run.counters);
   }
   // (3) overwrite throughput + hugepage retention on an aligned file.
   {

@@ -24,12 +24,8 @@
 //       asserts both reports carry identical modeled results: same fs rows,
 //       same results[].metrics keys/values (keys prefixed host_ are exempt —
 //       wall-clock measurements), and bit-identical counter dumps. Used for
-//       the cold-aging vs corpus-load equivalence check and the
-//       fast-vs-reference simulator differential.
-//   bench_json_check --simperf-speedup FAST.json REF.json [min_ratio]
-//       asserts the fast simulator's per_line host throughput in
-//       BENCH_simperf.json is at least min_ratio (default 3.0) times the
-//       reference build's.
+//       the cold-aging vs corpus-load equivalence check, the host-worker
+//       replay check, and the fig04/fig08 golden reports.
 //   bench_json_check --opperf-speedup BENCH_opperf.json [min_ratio]
 //       asserts the batched row's modeled output (non-host_ metrics and the
 //       counter dump) is bit-identical to the scalar row's, and that its host
@@ -269,7 +265,7 @@ int CheckSnapConfig(const char* path, const obs::JsonValue& root, bool warm) {
 // simperf's throughput numbers) are exempt: they describe the machine the
 // bench ran on, not the simulation. This is both the aged-bench equivalence
 // gate (corpus-loaded images must reproduce inline-aging numbers) and the
-// fast-vs-reference simulator differential gate.
+// golden-report gate (a bench must reproduce its committed modeled output).
 int CompareMetrics(const char* path_a, const obs::JsonValue& a, const char* path_b,
                    const obs::JsonValue& b) {
   auto collect = [](const obs::JsonValue& root, const char* section) {
@@ -343,29 +339,6 @@ const obs::JsonValue* FindMetric(const obs::JsonValue& root, const std::string& 
     return m != nullptr && m->is_object() ? m->Find(key) : nullptr;
   }
   return nullptr;
-}
-
-// Asserts the fast simulator's per_line host throughput is at least
-// `min_ratio` times the reference build's (both from BENCH_simperf.json).
-int CheckSimperfSpeedup(const char* path_fast, const obs::JsonValue& fast,
-                        const char* path_ref, const obs::JsonValue& ref, double min_ratio) {
-  const obs::JsonValue* f = FindMetric(fast, "per_line", "host_mops_per_sec");
-  const obs::JsonValue* r = FindMetric(ref, "per_line", "host_mops_per_sec");
-  if (f == nullptr || !f->is_number()) {
-    return Fail(path_fast, "no per_line host_mops_per_sec metric");
-  }
-  if (r == nullptr || !r->is_number() || r->number_value <= 0) {
-    return Fail(path_ref, "no usable per_line host_mops_per_sec metric");
-  }
-  const double ratio = f->number_value / r->number_value;
-  std::printf("simperf per_line speedup: %.2fx (fast %.2f Mops/s vs reference %.2f Mops/s)\n",
-              ratio, f->number_value, r->number_value);
-  if (ratio < min_ratio) {
-    char why[128];
-    std::snprintf(why, sizeof(why), "speedup %.2fx below required %.2fx", ratio, min_ratio);
-    return Fail(path_fast, why);
-  }
-  return 0;
 }
 
 // Shared machinery for the within-one-file opperf gates: asserts rows
@@ -624,8 +597,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (std::strcmp(argv[1], "--compare-metrics") == 0 ||
-      std::strcmp(argv[1], "--simperf-speedup") == 0) {
+  if (std::strcmp(argv[1], "--compare-metrics") == 0) {
     if (argc < 4) {
       std::fprintf(stderr, "usage: %s %s A.json B.json\n", argv[0], argv[1]);
       return 2;
@@ -651,10 +623,6 @@ int main(int argc, char** argv) {
     auto b = obs::JsonValue::Parse(text_b);
     if (!a.ok() || !b.ok()) {
       return Fail(argv[2], "parse failed after validation");
-    }
-    if (std::strcmp(argv[1], "--simperf-speedup") == 0) {
-      const double min_ratio = argc > 4 ? std::atof(argv[4]) : 3.0;
-      return CheckSimperfSpeedup(argv[2], *a, argv[3], *b, min_ratio);
     }
     return CompareMetrics(argv[2], *a, argv[3], *b);
   }

@@ -71,8 +71,8 @@ void Report(obs::BenchReport& report, const std::string& fs, const CdfResult& r)
   report.AddMetric(fs, "p99_ns", static_cast<double>(r.hist.Percentile(99)));
   report.AddMetric(fs, "mean_ns", r.hist.MeanNanos());
   report.ForFs(fs).latencies.push_back(obs::SummarizeHistogram("load_line", r.hist));
-  // Final simulated-clock reading: the CI differential guard diffs this (plus
-  // the counters) between the fast and reference simulators.
+  // Final simulated-clock reading: fig04_golden and the CI golden guard diff
+  // this (plus the counters) against tests/golden/BENCH_fig04_tlb_cdf.json.
   report.AddMetric(fs, "sim_clock_end_ns", static_cast<double>(r.sim_end_ns));
   report.SetCounters(fs, r.counters);
 }

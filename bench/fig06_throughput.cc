@@ -5,7 +5,6 @@
 // matches/beats everyone on syscalls.
 #include "bench/bench_util.h"
 #include "src/vfs/op_batch.h"
-#include "src/wload/sim_runner.h"
 
 using benchutil::Fmt;
 using benchutil::MakeBed;

@@ -100,7 +100,7 @@ int main() {
     report.AddMetric(fs_name, "p99_ns", static_cast<double>(r.hist.Percentile(99)));
     report.AddMetric(fs_name, "tlb_walks", static_cast<double>(r.tlb_walks));
     report.AddMetric(fs_name, "llc_misses", static_cast<double>(r.llc_misses));
-    // Final simulated-clock reading, diffed fast-vs-reference by CI.
+    // Final simulated-clock reading, diffed against its golden report by CI.
     report.AddMetric(fs_name, "sim_clock_end_ns", static_cast<double>(r.sim_end_ns));
     report.ForFs(fs_name).latencies.push_back(obs::SummarizeHistogram("part_lookup", r.hist));
     report.SetCounters(fs_name, r.counters);

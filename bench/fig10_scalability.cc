@@ -9,7 +9,6 @@
 #include "bench/bench_util.h"
 #include "src/vfs/op_batch.h"
 #include "src/wload/parallel_runner.h"
-#include "src/wload/sim_runner.h"
 
 using benchutil::Fmt;
 using benchutil::MakeBed;
@@ -68,9 +67,9 @@ ScalePoint MeasureKops(const std::string& fs_name, uint32_t threads,
     }
     return true;
   };
-  wload::SimRunner runner(threads, kCpus, setup.clock.NowNs());
+  wload::ParallelRunner runner(threads, kCpus, setup.clock.NowNs());
   runner.SetObservers(nullptr, registry, sampler, profiler);
-  auto result = runner.Run(kOpsPerThread, op);
+  const wload::RunResult result = runner.Run(kOpsPerThread, op).run;
   if (sampler != nullptr) {
     // The bed (and with it every registered gauge provider) dies when this
     // function returns; detach so the sampler never probes freed state.

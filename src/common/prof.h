@@ -20,16 +20,6 @@ namespace common {
 
 struct ExecContext;
 
-// Compile-out switch: building with -DREPRO_PROFILER_DISABLED turns every
-// ProfileZone and SimMutex/SharedResource hook into dead code the optimizer
-// removes entirely (the Profiler object itself still links, it just never
-// receives events).
-#ifdef REPRO_PROFILER_DISABLED
-inline constexpr bool kProfilerEnabled = false;
-#else
-inline constexpr bool kProfilerEnabled = true;
-#endif
-
 // Which layer of the VFS→journal→device stack a ProfileZone covers. Values
 // are packed 3 bits per stack level into ZoneState::path, so there is room
 // for at most 7 layers.

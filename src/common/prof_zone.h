@@ -23,14 +23,12 @@ namespace common {
 class ProfileZone {
  public:
   ProfileZone(ExecContext& ctx, ProfLayer layer) : ctx_(ctx), layer_(layer) {
-    if constexpr (kProfilerEnabled) {
-      ZoneState& zones = ctx_.zones;
-      if (zones.active && zones.depth < ZoneState::kMaxDepth) {
-        zones.frames[zones.depth] = ZoneFrame{ctx_.clock.NowNs(), 0};
-        zones.depth++;
-        zones.path = (zones.path << 3) | (static_cast<uint32_t>(layer_) + 1);
-        open_ = true;
-      }
+    ZoneState& zones = ctx_.zones;
+    if (zones.active && zones.depth < ZoneState::kMaxDepth) {
+      zones.frames[zones.depth] = ZoneFrame{ctx_.clock.NowNs(), 0};
+      zones.depth++;
+      zones.path = (zones.path << 3) | (static_cast<uint32_t>(layer_) + 1);
+      open_ = true;
     }
   }
 
@@ -40,27 +38,25 @@ class ProfileZone {
   // Idempotent explicit close, for callers that must flush before other work
   // in a destructor runs (OpScope ends its root zone before flushing the op).
   void End() {
-    if constexpr (kProfilerEnabled) {
-      if (!open_) {
-        return;
-      }
-      open_ = false;
-      ZoneState& zones = ctx_.zones;
-      if (zones.depth <= 0) {
-        return;  // stack was reset underneath us (context Reset mid-scope)
-      }
-      zones.depth--;
-      const ZoneFrame& frame = zones.frames[zones.depth];
-      const uint64_t span = ctx_.clock.NowNs() - frame.enter_ns;
-      const uint64_t exclusive = span - (frame.child_ns < span ? frame.child_ns : span);
-      zones.layer_ns[static_cast<size_t>(layer_)] += exclusive;
-      if (ctx_.profiler != nullptr && exclusive != 0) {
-        ctx_.profiler->OnZoneExit(zones.path, layer_, exclusive);
-      }
-      zones.path >>= 3;
-      if (zones.depth > 0) {
-        zones.frames[zones.depth - 1].child_ns += span;
-      }
+    if (!open_) {
+      return;
+    }
+    open_ = false;
+    ZoneState& zones = ctx_.zones;
+    if (zones.depth <= 0) {
+      return;  // stack was reset underneath us (context Reset mid-scope)
+    }
+    zones.depth--;
+    const ZoneFrame& frame = zones.frames[zones.depth];
+    const uint64_t span = ctx_.clock.NowNs() - frame.enter_ns;
+    const uint64_t exclusive = span - (frame.child_ns < span ? frame.child_ns : span);
+    zones.layer_ns[static_cast<size_t>(layer_)] += exclusive;
+    if (ctx_.profiler != nullptr && exclusive != 0) {
+      ctx_.profiler->OnZoneExit(zones.path, layer_, exclusive);
+    }
+    zones.path >>= 3;
+    if (zones.depth > 0) {
+      zones.frames[zones.depth - 1].child_ns += span;
     }
   }
 
@@ -78,10 +74,8 @@ class ProfileZone {
 inline uint64_t ProfiledAcquire(ExecContext& ctx, SharedResource& resource,
                                 std::string_view site, LockSiteRef& ref, uint64_t hold_ns) {
   const uint64_t waited = resource.Acquire(ctx.clock, hold_ns);
-  if constexpr (kProfilerEnabled) {
-    if (ctx.profiler != nullptr) {
-      ref.Record(ctx.profiler, ctx, site, waited, hold_ns);
-    }
+  if (ctx.profiler != nullptr) {
+    ref.Record(ctx.profiler, ctx, site, waited, hold_ns);
   }
   return waited;
 }
@@ -90,10 +84,8 @@ inline uint64_t ProfiledAcquire(ExecContext& ctx, SharedResource& resource,
 inline uint64_t ProfiledAcquire(ExecContext& ctx, ResourceClock& resource,
                                 std::string_view site, LockSiteRef& ref, uint64_t hold_ns) {
   const uint64_t waited = resource.Acquire(ctx.clock, hold_ns);
-  if constexpr (kProfilerEnabled) {
-    if (ctx.profiler != nullptr) {
-      ref.Record(ctx.profiler, ctx, site, waited, hold_ns);
-    }
+  if (ctx.profiler != nullptr) {
+    ref.Record(ctx.profiler, ctx, site, waited, hold_ns);
   }
   return waited;
 }

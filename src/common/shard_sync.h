@@ -30,8 +30,8 @@
 
 namespace common {
 
-// Total-order key for one simulated thread's next operation: the scalar
-// SimRunner picks the smallest clock, breaking ties by lowest tid. Packing
+// Total-order key for one simulated thread's next operation: the one-worker
+// schedule picks the smallest clock, breaking ties by lowest tid. Packing
 // the tid into the low 16 bits makes that order a single integer compare.
 // Clocks are simulated nanoseconds; 48 bits ≈ 3.2 simulated days, far past
 // any workload here.

@@ -77,19 +77,17 @@ class SimMutex {
       head_ = (head_ + 1) % kRingSize;
       max_end_ns_ = std::max(max_end_ns_, end);
     }
-    if constexpr (kProfilerEnabled) {
-      if (ctx.profiler != nullptr) {
-        // Resolve-once per attached profiler; mu_ is still held, so the
-        // cached triple can't race with other acquirers.
-        if (site_owner_ != ctx.profiler) {
-          site_owner_ = ctx.profiler;
-          site_handle_ = ctx.profiler->RegisterLockSite(
-              site_.empty() ? std::string_view("lock.unnamed") : std::string_view(site_));
-          site_cell_ = ctx.profiler->LockSiteCellFor(site_handle_);
-        }
-        RecordLockRelease(ctx.profiler, ctx, site_cell_, site_handle_, last_wait_ns_,
-                          end - cs_enter_ns_);
+    if (ctx.profiler != nullptr) {
+      // Resolve-once per attached profiler; mu_ is still held, so the cached
+      // triple can't race with other acquirers.
+      if (site_owner_ != ctx.profiler) {
+        site_owner_ = ctx.profiler;
+        site_handle_ = ctx.profiler->RegisterLockSite(
+            site_.empty() ? std::string_view("lock.unnamed") : std::string_view(site_));
+        site_cell_ = ctx.profiler->LockSiteCellFor(site_handle_);
       }
+      RecordLockRelease(ctx.profiler, ctx, site_cell_, site_handle_, last_wait_ns_,
+                        end - cs_enter_ns_);
     }
     mu_.unlock();
   }

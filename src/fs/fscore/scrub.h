@@ -1,7 +1,7 @@
 // Online scrub/fsck daemon.
 //
-// A background thread (one extra SimRunner simulated thread) that walks the
-// checksummed metadata regions of a *mounted* filesystem — superblock,
+// A background thread (one extra ParallelRunner simulated thread) that walks
+// the checksummed metadata regions of a *mounted* filesystem — superblock,
 // journal, inode table — in fixed-size windows while foreground traffic runs.
 // Each step probes media health (cost-free ReadStatus, the same probe
 // mount-time recovery uses) and, for windows it can interpret, structural
@@ -38,7 +38,7 @@ class ScrubDaemon : public obs::GaugeProvider {
   ScrubDaemon(GenericFs* fs, Config config);
 
   // One scrub window; safe to call forever (the cursor wraps). Designed as a
-  // SimRunner OpFn body for the background thread. Always returns true.
+  // ParallelRunner OpFn body for the background thread. Always returns true.
   bool Step(common::ExecContext& ctx);
 
   // Registers injected corruption at simulated time `inject_ns` so the next

@@ -79,7 +79,6 @@ class Reader {
   std::FILE* f_;
 };
 
-constexpr uint64_t kFnvBasis = 14695981039346656037ull;
 constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 // Chunk checksums are computed kLanes chunks per pass.
@@ -94,20 +93,23 @@ struct ChunkRef {
   uint64_t csum = 0;
 };
 
-// FNV-1a of chunks[0..n), n <= kLanes, in one pass: out[k] equals
-// Fnv1a(chunks[k].data, chunks[k].len). The lanes' multiply chains are
-// independent, so they overlap instead of each byte waiting out the previous
-// byte's multiply. Lanes past n hash chunk 0 again.
+// Checksums of chunks[0..n), n <= kLanes, in one pass: out[k] is the FNV-1a
+// of chunks[k]'s 8-byte index followed by its payload, so a record whose
+// index was damaged fails its checksum like one whose payload was. The
+// lanes' multiply chains are independent, so they overlap instead of each
+// byte waiting out the previous byte's multiply. Lanes past n hash chunk 0
+// again.
 void ChunkSums(const ChunkRef* chunks, size_t n, uint64_t out[kLanes]) {
   const uint8_t* p[kLanes];
   uint64_t len[kLanes];
+  uint64_t h[kLanes];
   for (size_t k = 0; k < kLanes; k++) {
     const ChunkRef& chunk = chunks[k < n ? k : 0];
     p[k] = chunk.data;
     len[k] = chunk.len;
+    h[k] = Fnv1a(reinterpret_cast<const uint8_t*>(&chunk.index), sizeof(chunk.index));
   }
   const uint64_t common = std::min({len[0], len[1], len[2], len[3]});
-  uint64_t h[kLanes] = {kFnvBasis, kFnvBasis, kFnvBasis, kFnvBasis};
   for (uint64_t i = 0; i < common; i++) {
     h[0] = (h[0] ^ p[0][i]) * kFnvPrime;
     h[1] = (h[1] ^ p[1][i]) * kFnvPrime;

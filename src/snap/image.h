@@ -3,8 +3,8 @@
 // Layout: a fixed header (magic, format version, image kind, device geometry,
 // cost-model parameters, provenance string, FNV-1a header checksum) followed
 // by one record per non-zero kSnapChunkBytes chunk: {chunk index, FNV-1a of
-// the chunk payload, payload}. All-zero chunks are skipped, so an aged image
-// of a mostly-empty device stays small. Everything is little-endian (the
+// the index's 8 bytes then the payload, payload}. All-zero chunks are
+// skipped, so an aged image of a mostly-empty device stays small. Everything is little-endian (the
 // simulator only targets LE hosts; ReadImageInfo rejects foreign images via
 // the magic). Bumping kSnapFormatVersion invalidates every existing image —
 // do it whenever the header schema, chunk size, or CostModel field set
@@ -27,7 +27,8 @@ namespace snap {
 
 // Bump on any incompatible change to the header schema, chunk encoding,
 // kSnapChunkBytes, or the serialized CostModel field set.
-inline constexpr uint32_t kSnapFormatVersion = 1;
+// Version 2 folds each chunk record's index into its checksum.
+inline constexpr uint32_t kSnapFormatVersion = 2;
 
 enum class ImageKind : uint32_t {
   // A consistent (unmounted) filesystem image; fsck-able before use.

@@ -4,7 +4,6 @@
 
 #include "src/vfs/op_batch.h"
 #include "src/wload/parallel_runner.h"
-#include "src/wload/sim_runner.h"
 
 namespace trace {
 
@@ -227,20 +226,11 @@ Result<ReplayResult> TraceReplayer::Replay(const Trace& trace) {
     run_window(windows[plan[tid][op_index]], ctx);
     return true;
   };
-  wload::RunResult run;
-  if (options_.host_threads > 1) {
-    wload::ParallelRunner runner(num_threads, options_.num_cpus, options_.base_ns);
-    runner.SetWorkers(options_.host_threads)
-        .SetMode(wload::ParallelRunner::Mode::kLockstep)
-        .SetObservers(options_.trace_sink, options_.metrics, options_.sampler,
-                      options_.profiler);
-    run = runner.Run(max_windows_per_thread, window_op).run;
-  } else {
-    wload::SimRunner runner(num_threads, options_.num_cpus, options_.base_ns);
-    runner.SetObservers(options_.trace_sink, options_.metrics, options_.sampler,
-                        options_.profiler);
-    run = runner.Run(max_windows_per_thread, window_op);
-  }
+  wload::ParallelRunner runner(num_threads, options_.num_cpus, options_.base_ns);
+  runner.SetWorkers(options_.host_threads)
+      .SetMode(wload::ParallelRunner::Mode::kLockstep)
+      .SetObservers(options_.trace_sink, options_.metrics, options_.sampler, options_.profiler);
+  const wload::RunResult run = runner.Run(max_windows_per_thread, window_op).run;
 
   result.records = records_done_;
   result.windows = windows_done_;

@@ -7,7 +7,7 @@
 //     wherever a record carries think_ticks > 0 (a new request burst) or the
 //     window hits max_window_ops. One window lowers to one OpBatch.
 //   - Tenants are sharded across simulated threads (tenant % num_threads);
-//     each thread replays its windows in trace order on wload::SimRunner's
+//     each thread replays its windows in trace order on wload::ParallelRunner's
 //     discrete-event schedule, so multi-tenant contention is modeled the same
 //     way the wload harnesses model it.
 //   - think_ticks * tick_ns of simulated idle time is charged on the thread
@@ -51,15 +51,16 @@ struct ReplayOptions {
   uint32_t num_cpus = 4;
   // Hard cap on ops per lowered window (bursts larger than this split).
   uint32_t max_window_ops = 128;
-  // Simulated-timeline anchor, like SimRunner's base_ns (setup phases leave
-  // SimMutex watermarks behind; anchoring past them avoids double-counting).
+  // Simulated-timeline anchor, like ParallelRunner's base_ns (setup phases
+  // leave SimMutex watermarks behind; anchoring past them avoids
+  // double-counting).
   uint64_t base_ns = 0;
-  // Host worker threads driving the replay. Values > 1 run the windows on a
-  // lockstep wload::ParallelRunner: the schedule (and so every modeled
-  // output and the shared slot tables the windows mutate) stays bit-identical
-  // to the scalar runner, the baton's release/acquire edges making the shared
-  // captures race-free. Replay is always lockstep — window lowering mutates
-  // per-tenant state that is not shard-pure.
+  // Host worker threads driving the replay, as lockstep wload::ParallelRunner
+  // workers: the schedule (and so every modeled output and the shared slot
+  // tables the windows mutate) stays bit-identical to one worker's, the
+  // baton's release/acquire edges making the shared captures race-free.
+  // Replay is always lockstep — window lowering mutates per-tenant state that
+  // is not shard-pure.
   uint32_t host_threads = 1;
   // Observability sinks propagated into every replay thread (null = off).
   obs::TraceBuffer* trace_sink = nullptr;
@@ -110,8 +111,8 @@ class TraceReplayer : public obs::GaugeProvider {
  private:
   vfs::FileSystem* fs_;
   ReplayOptions options_;
-  // Progress counters for SampleGauges. Plain fields: SimRunner multiplexes
-  // simulated threads on one host thread.
+  // Progress counters for SampleGauges. Plain fields: the lockstep runner
+  // executes one window at a time, its baton ordering each after the last.
   uint64_t records_done_ = 0;
   uint64_t windows_done_ = 0;
   uint64_t errors_ = 0;

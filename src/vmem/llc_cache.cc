@@ -4,8 +4,7 @@
 
 namespace vmem {
 
-LlcCache::LlcCache(const MmuParams& params)
-    : reference_(params.reference_sim), ways_(params.llc_ways) {
+LlcCache::LlcCache(const MmuParams& params) : ways_(params.llc_ways) {
   const uint64_t lines = params.llc_bytes / common::kCacheline;
   num_sets_ = lines / ways_;
   if (num_sets_ == 0) {
@@ -15,60 +14,32 @@ LlcCache::LlcCache(const MmuParams& params)
     set_mask_ = num_sets_ - 1;
     set_shift_ = static_cast<uint32_t>(__builtin_ctzll(num_sets_));
   }
-  if (reference_) {
-    table_.assign(num_sets_ * ways_, Way{});
-  } else {
-    // Round each set's block up to whole cachelines so blocks never share a
-    // line and a probe's footprint is a fixed handful of contiguous lines;
-    // over-allocate so set 0 can start on a cacheline boundary.
-    constexpr uint64_t kU64sPerLine = common::kCacheline / sizeof(uint64_t);
-    nsig_ = (ways_ + 7) / 8;
-    set_stride_ =
-        (1 + nsig_ + 2 * uint64_t{ways_} + kU64sPerLine - 1) & ~(kU64sPerLine - 1);
-    blocks_.assign(num_sets_ * set_stride_ + kU64sPerLine - 1, 0);
-    const uintptr_t raw = reinterpret_cast<uintptr_t>(blocks_.data());
-    const uintptr_t aligned = (raw + common::kCacheline - 1) & ~uintptr_t{common::kCacheline - 1};
-    base_ = blocks_.data() + (aligned - raw) / sizeof(uint64_t);
-  }
+  // Round each set's block up to whole cachelines so blocks never share a
+  // line and a probe's footprint is a fixed handful of contiguous lines;
+  // over-allocate so set 0 can start on a cacheline boundary.
+  constexpr uint64_t kU64sPerLine = common::kCacheline / sizeof(uint64_t);
+  nsig_ = (ways_ + 7) / 8;
+  set_stride_ = (1 + nsig_ + 2 * uint64_t{ways_} + kU64sPerLine - 1) & ~(kU64sPerLine - 1);
+  blocks_.assign(num_sets_ * set_stride_ + kU64sPerLine - 1, 0);
+  const uintptr_t raw = reinterpret_cast<uintptr_t>(blocks_.data());
+  const uintptr_t aligned = (raw + common::kCacheline - 1) & ~uintptr_t{common::kCacheline - 1};
+  base_ = blocks_.data() + (aligned - raw) / sizeof(uint64_t);
 }
 
-bool LlcCache::AccessReference(uint64_t set, uint64_t tag) {
-  Way* base = &table_[set * ways_];
-  Way* victim = base;
-  for (uint32_t w = 0; w < ways_; w++) {
-    Way& way = base[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = tick_;
-      return true;
-    }
-    if (!way.valid) {
-      victim = &way;
-    } else if (victim->valid && way.lru < victim->lru) {
-      victim = &way;
-    }
-  }
-  victim->valid = true;
-  victim->tag = tag;
-  victim->lru = tick_;
-  return false;
-}
-
-bool LlcCache::AccessFastMiss(uint64_t* block, uint64_t valid, uint64_t tag) {
+bool LlcCache::AccessMiss(uint64_t* block, uint64_t valid, uint64_t tag) {
   uint64_t* tags = block + 1 + nsig_;
   uint64_t* stamps = tags + ways_;
   uint32_t victim;
   const uint64_t ways_mask = ways_ == 64 ? ~0ull : (1ull << ways_) - 1;
   const uint64_t invalid = ~valid & ways_mask;
   if (invalid != 0) {
-    // The reference scan leaves the victim pointer on the LAST invalid way it
-    // sees, so mirror that: highest set bit of the invalid mask.
+    // The last invalid way: highest set bit of the invalid mask.
     victim = 63u - static_cast<uint32_t>(__builtin_clzll(invalid));
   } else {
     victim = 0;
     uint64_t best = stamps[0];
     for (uint32_t w = 1; w < ways_; w++) {
-      // cmov-friendly strict-min scan; ties keep the lowest index, matching
-      // the reference walk.
+      // cmov-friendly strict-min scan; ties keep the lowest index.
       const bool lower = stamps[w] < best;
       victim = lower ? w : victim;
       best = lower ? stamps[w] : best;
@@ -84,14 +55,8 @@ bool LlcCache::AccessFastMiss(uint64_t* block, uint64_t valid, uint64_t tag) {
 }
 
 void LlcCache::Flush() {
-  if (reference_) {
-    for (Way& way : table_) {
-      way.valid = false;
-    }
-  } else {
-    for (uint64_t s = 0; s < num_sets_; s++) {
-      base_[s * set_stride_] = 0;
-    }
+  for (uint64_t s = 0; s < num_sets_; s++) {
+    base_[s * set_stride_] = 0;
   }
   tick_ = 0;
 }
@@ -105,16 +70,15 @@ uint64_t LlcCache::StateHash() const {
     }
   };
   for (uint64_t s = 0; s < num_sets_; s++) {
-    const uint64_t* block = reference_ ? nullptr : base_ + s * set_stride_;
+    const uint64_t* block = base_ + s * set_stride_;
     for (uint32_t w = 0; w < ways_; w++) {
-      const uint64_t idx = s * ways_ + w;
       // Hash only live state: an invalid way's tag/stamp are policy-invisible
-      // (the reference path leaves stale values behind after Flush).
-      const bool valid = reference_ ? table_[idx].valid : (block[0] >> w & 1) != 0;
+      // (Flush leaves stale values behind).
+      const bool valid = (block[0] >> w & 1) != 0;
       mix(valid ? 1 : 0);
       if (valid) {
-        mix(reference_ ? table_[idx].tag : block[1 + nsig_ + w]);
-        mix(reference_ ? table_[idx].lru : block[1 + nsig_ + ways_ + w]);
+        mix(block[1 + nsig_ + w]);
+        mix(block[1 + nsig_ + ways_ + w]);
       }
     }
   }

@@ -3,13 +3,12 @@
 // mechanism behind Fig 4/Fig 8: with base pages, page-walk traffic evicts the
 // application's hot set.
 //
-// Like the TLB, the cache has two interchangeable backends selected by
-// MmuParams::reference_sim: the original array-of-structs table (reference)
-// and a packed per-set block layout with a valid bitmask (fast). Both
-// implement the same policy — hit refreshes the way's LRU stamp; a miss fills
-// the last invalid way if one exists, otherwise the lowest-indexed way with
-// the minimum stamp — so their hit/miss decisions and final state are
-// bit-identical.
+// Policy: a hit refreshes the way's LRU stamp; a miss fills the last invalid
+// way if one exists, otherwise the lowest-indexed way with the minimum stamp.
+// The sets are packed per-set blocks with a valid bitmask; the
+// array-of-structs table they replaced lives on as a test oracle
+// (tests/ref_sim.h) that must make the same decisions and reach the same
+// state.
 #ifndef SRC_VMEM_LLC_CACHE_H_
 #define SRC_VMEM_LLC_CACHE_H_
 
@@ -27,13 +26,12 @@ class LlcCache {
   explicit LlcCache(const MmuParams& params);
 
   // Touches the line containing `paddr`; returns true on hit. Misses fill the
-  // line (evicting LRU in the set). Defined inline below so the fast-layout
-  // hit probe — a branchless tag scan — runs without a function call.
+  // line (evicting LRU in the set). Defined inline below so the hit probe — a
+  // branchless tag scan — runs without a function call.
   bool Access(uint64_t paddr);
 
-  // Host cache hint for the first line of the fast-layout set block that
-  // Access(paddr) probes (valid mask and tag signatures). Reads and changes
-  // no cache state; call only on a fast-layout cache.
+  // Host cache hint for the first line of the set block that Access(paddr)
+  // probes (valid mask and tag signatures). Reads and changes no cache state.
   void PrefetchSet(uint64_t paddr) const {
     common::PrefetchLine(base_ + SetOf(paddr / common::kCacheline) * set_stride_);
   }
@@ -41,20 +39,13 @@ class LlcCache {
   void Flush();
 
   uint64_t num_sets() const { return num_sets_; }
-  bool reference_sim() const { return reference_; }
 
   // FNV-1a over every way's (valid, tag, lru) in set/way order, independent of
-  // the backing layout. Lets the differential test assert the two
-  // implementations reach the same state, not just the same hit/miss answers.
+  // the backing layout. Lets the differential test assert the cache and its
+  // oracle reach the same state, not just the same hit/miss answers.
   uint64_t StateHash() const;
 
  private:
-  struct Way {
-    uint64_t tag = 0;
-    uint64_t lru = 0;  // larger = more recent
-    bool valid = false;
-  };
-
   uint64_t SetOf(uint64_t line) const {
     return set_mask_ != 0 ? line & set_mask_ : line % num_sets_;
   }
@@ -63,10 +54,8 @@ class LlcCache {
     return static_cast<uint8_t>((tag * 0x9e3779b97f4a7c15ull) >> 56);
   }
 
-  bool AccessReference(uint64_t set, uint64_t tag);
-  bool AccessFastMiss(uint64_t* block, uint64_t valid, uint64_t tag);
+  bool AccessMiss(uint64_t* block, uint64_t valid, uint64_t tag);
 
-  const bool reference_;
   uint32_t ways_;
   uint64_t num_sets_;
   // When num_sets_ is a power of two, set/tag come from mask+shift instead of
@@ -75,10 +64,7 @@ class LlcCache {
   uint32_t set_shift_ = 0;
   uint64_t tick_ = 0;
 
-  // Reference layout: num_sets_ x ways_ array of structs.
-  std::vector<Way> table_;
-
-  // Fast layout: one packed block of (1 + nsig_ + 2*ways_) u64s per set —
+  // One packed block of (1 + nsig_ + 2*ways_) u64s per set —
   // valid bitmask (ways_ <= 64), one 8-bit tag signature per way (eight ways
   // per u64 word), then tags, then LRU stamps — padded to whole cachelines
   // and based at a cacheline-aligned pointer (base_) inside blocks_. The
@@ -96,9 +82,6 @@ inline bool LlcCache::Access(uint64_t paddr) {
   const uint64_t set = SetOf(line);
   const uint64_t tag = set_mask_ != 0 ? line >> set_shift_ : line / num_sets_;
   tick_++;
-  if (reference_) {
-    return AccessReference(set, tag);
-  }
   uint64_t* block = base_ + set * set_stride_;
   const uint64_t valid = block[0];
   const uint64_t* tags = block + 1 + nsig_;
@@ -121,7 +104,7 @@ inline bool LlcCache::Access(uint64_t paddr) {
       cand &= cand - 1;
     }
   }
-  return AccessFastMiss(block, valid, tag);
+  return AccessMiss(block, valid, tag);
 }
 
 }  // namespace vmem

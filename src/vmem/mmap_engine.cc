@@ -421,28 +421,12 @@ inline void MappedFile::HintLine(const LlcCache& llc, uint64_t offset) const {
 }
 
 Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool write) {
-  if (engine_->params().reference_sim) {
-    // Reference simulator: the pre-overhaul shape — one LoadLine/StoreLine
-    // round trip (with its Result plumbing) per line, exactly as fig04 and the
-    // pointer-chasing workloads issued accesses before batching existed.
-    for (size_t i = 0; i < count; i++) {
-      LineOp& op = ops[i];
-      auto latency = write ? StoreLine(ctx, op.offset, &op.value)
-                           : LoadLine(ctx, op.offset, &op.value);
-      if (!latency.ok()) {
-        return latency.status();
-      }
-      op.latency_ns = *latency;
-    }
-    return common::OkStatus();
-  }
-
-  // Fast simulator: CPU state and cost constants hoisted once per batch, the
-  // TLB-hit translation and LLC data-line charge inlined, and no Result or
-  // Status objects on the hit path. Modeled events (counter ticks, clock
-  // advances, sampler polls) are emitted exactly as LineAccess would emit
-  // them one op at a time; only misses fall back to the out-of-line walk and
-  // fault machinery.
+  // CPU state and cost constants hoisted once per batch, the TLB-hit
+  // translation and LLC data-line charge inlined, and no Result or Status
+  // objects on the hit path. Modeled events (counter ticks, clock advances,
+  // sampler polls) are emitted exactly as LineAccess would emit them one op
+  // at a time; only misses fall back to the out-of-line walk and fault
+  // machinery.
   //
   // Software pipeline: on a mapping beyond the host caches each op waits out
   // two host misses, its device line and its LLC set block. While op i is

@@ -24,15 +24,9 @@ struct MmuParams {
   uint32_t walk_levels_4k = 4;
   uint32_t walk_levels_2m = 3;
 
-  // Simulator implementation selection. false = flat-array structures
-  // (allocation-free hot path); true = the reference std::list/unordered_map
-  // structures kept for differential testing. Both make bit-identical
-  // replacement decisions; only host cost differs. The default comes from the
-  // WINEFS_REFERENCE_SIM build switch and can be overridden at run time by
-  // the WINEFS_REFERENCE_SIM environment variable ("1"/"0"), which is what
-  // lets one build tree run the fast and reference simulators side by side.
-  bool reference_sim = DefaultReferenceSim();
-  static bool DefaultReferenceSim();
+  // There is one simulator; its reference structures live under tests/ as
+  // an oracle. Kept so code that asks which simulator it times still builds.
+  static constexpr bool reference_sim = false;
 };
 
 }  // namespace vmem

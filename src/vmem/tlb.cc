@@ -1,62 +1,11 @@
 #include "src/vmem/tlb.h"
 
+#include <algorithm>
 #include <cassert>
-#include <cstdlib>
-#include <cstring>
 
 #include "src/common/units.h"
 
 namespace vmem {
-
-bool MmuParams::DefaultReferenceSim() {
-  // Environment override first, so one build tree can run both simulators
-  // (the differential CTest fixtures and the CI golden guard depend on it).
-  if (const char* env = std::getenv("WINEFS_REFERENCE_SIM"); env != nullptr && *env != '\0') {
-    return std::strcmp(env, "0") != 0;
-  }
-#ifdef WINEFS_REFERENCE_SIM
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool ReferenceLruSet::Touch(uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return false;
-  }
-  order_.splice(order_.begin(), order_, it->second);
-  return true;
-}
-
-void ReferenceLruSet::Insert(uint64_t key) {
-  auto it = index_.find(key);
-  if (it != index_.end()) {
-    order_.splice(order_.begin(), order_, it->second);
-    return;
-  }
-  if (order_.size() >= capacity_) {
-    index_.erase(order_.back());
-    order_.pop_back();
-  }
-  order_.push_front(key);
-  index_[key] = order_.begin();
-}
-
-void ReferenceLruSet::Erase(uint64_t key) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    return;
-  }
-  order_.erase(it->second);
-  index_.erase(it);
-}
-
-void ReferenceLruSet::Clear() {
-  order_.clear();
-  index_.clear();
-}
 
 namespace {
 
@@ -116,13 +65,9 @@ void SlotIndex::Clear() {
   std::fill(slot_of_.begin(), slot_of_.end(), kNil);
 }
 
-FlatLruSet::FlatLruSet(uint32_t capacity) : capacity_(capacity) {
-  if (capacity_ == 0) {
-    return;  // placeholder for the inactive implementation; never used
-  }
-  slots_.resize(capacity_);
+FlatLruSet::FlatLruSet(uint32_t capacity)
+    : capacity_(capacity), slots_(capacity), index_(capacity) {
   free_.reserve(capacity_);
-  index_ = SlotIndex(capacity_);
 }
 
 void FlatLruSet::Insert(uint64_t key) {
@@ -161,9 +106,6 @@ void FlatLruSet::Erase(uint64_t key) {
 }
 
 void FlatLruSet::Clear() {
-  if (capacity_ == 0) {
-    return;
-  }
   size_ = 0;
   head_ = kNil;
   tail_ = kNil;
@@ -200,57 +142,26 @@ void SmallLruSet::Clear() {
 }
 
 Tlb::Tlb(const MmuParams& params)
-    : reference_(params.reference_sim),
-      f_l1_4k_(reference_ ? 0 : params.l1_tlb_4k_entries),
-      f_l1_2m_(reference_ ? 0 : params.l1_tlb_2m_entries),
-      f_l2_(reference_ ? 0 : params.l2_tlb_entries),
-      r_l1_4k_(params.l1_tlb_4k_entries),
-      r_l1_2m_(params.l1_tlb_2m_entries),
-      r_l2_(params.l2_tlb_entries) {}
-
-TlbResult Tlb::LookupReference(uint64_t key, bool huge) {
-  if ((huge ? r_l1_2m_ : r_l1_4k_).Touch(key)) {
-    return TlbResult::kL1Hit;
-  }
-  if (r_l2_.Touch(key)) {
-    (huge ? r_l1_2m_ : r_l1_4k_).Insert(key);
-    return TlbResult::kL2Hit;
-  }
-  return TlbResult::kMiss;
-}
+    : l1_4k_(params.l1_tlb_4k_entries),
+      l1_2m_(params.l1_tlb_2m_entries),
+      l2_(params.l2_tlb_entries) {}
 
 void Tlb::Insert(uint64_t vaddr, bool huge) {
   const uint64_t key = PageNumber(vaddr, huge);
-  if (reference_) {
-    (huge ? r_l1_2m_ : r_l1_4k_).Insert(key);
-    r_l2_.Insert(key);
-    return;
-  }
-  (huge ? f_l1_2m_ : f_l1_4k_).Insert(key);
-  f_l2_.Insert(key);
+  (huge ? l1_2m_ : l1_4k_).Insert(key);
+  l2_.Insert(key);
 }
 
 void Tlb::InvalidatePage(uint64_t vaddr, bool huge) {
   const uint64_t key = PageNumber(vaddr, huge);
-  if (reference_) {
-    (huge ? r_l1_2m_ : r_l1_4k_).Erase(key);
-    r_l2_.Erase(key);
-    return;
-  }
-  (huge ? f_l1_2m_ : f_l1_4k_).Erase(key);
-  f_l2_.Erase(key);
+  (huge ? l1_2m_ : l1_4k_).Erase(key);
+  l2_.Erase(key);
 }
 
 void Tlb::Flush() {
-  if (reference_) {
-    r_l1_4k_.Clear();
-    r_l1_2m_.Clear();
-    r_l2_.Clear();
-    return;
-  }
-  f_l1_4k_.Clear();
-  f_l1_2m_.Clear();
-  f_l2_.Clear();
+  l1_4k_.Clear();
+  l1_2m_.Clear();
+  l2_.Clear();
 }
 
 }  // namespace vmem

@@ -3,21 +3,15 @@
 // the 2 MB array is large enough relative to typical hot sets that mapped-huge
 // working sets rarely miss.
 //
-// Two interchangeable LRU-set implementations back the TLB:
-//   FlatLruSet      — flat-array intrusive list + open-addressing index;
-//                     zero heap allocation per Lookup/Insert (everything is
-//                     sized at construction). This is the production impl.
-//   ReferenceLruSet — the original std::list + std::unordered_map structure,
-//                     kept for differential testing.
-// Both make bit-identical replacement decisions (exact LRU, evict-oldest); the
-// WINEFS_REFERENCE_SIM build switch / environment variable selects which one a
-// Tlb uses via MmuParams::reference_sim.
+// The LRU sets behind the TLB (exact LRU, evict-oldest) are sized at
+// construction, so no Lookup/Insert allocates: SmallLruSet for the L1 arrays,
+// FlatLruSet (intrusive list + open-addressing index) for the L2. The
+// std::list + std::unordered_map structure they replaced lives on as a test
+// oracle (tests/ref_sim.h) that must make the same decisions.
 #ifndef SRC_VMEM_TLB_H_
 #define SRC_VMEM_TLB_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/units.h"
@@ -31,23 +25,6 @@ enum class TlbResult {
   kMiss,  // full page walk required
 };
 
-// Reference LRU set: std::list order + hash index. One allocation per Insert
-// (list node + hash slot); kept only for differential testing against
-// FlatLruSet.
-class ReferenceLruSet {
- public:
-  explicit ReferenceLruSet(uint32_t capacity) : capacity_(capacity) {}
-  bool Touch(uint64_t key);  // true if present (and refreshed)
-  void Insert(uint64_t key);
-  void Erase(uint64_t key);
-  void Clear();
-
- private:
-  uint32_t capacity_;
-  std::list<uint64_t> order_;  // front = most recent
-  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> index_;
-};
-
 // Open-addressing key -> slot index (linear probing, backward-shift deletion)
 // shared by the flat LRU sets below. All storage is sized at construction; no
 // operation allocates.
@@ -55,7 +32,6 @@ class SlotIndex {
  public:
   static constexpr uint32_t kNil = 0xffffffffu;
 
-  SlotIndex() = default;
   explicit SlotIndex(uint32_t capacity);
 
   // Bucket holding key, or kNil. Inline: this probe is the first step of
@@ -293,17 +269,28 @@ class Tlb {
   // Looks up the page covering `vaddr`. `huge` selects the translation size
   // the page was mapped with. A hit refreshes LRU position; on kL2Hit the
   // entry is promoted into L1; on kMiss the caller must Walk and then Insert.
-  // Defined inline below: the flat-set L1-hit case — the overwhelmingly
-  // common one — runs without a function call.
-  TlbResult Lookup(uint64_t vaddr, bool huge);
+  // Inline: the L1-hit case — the overwhelmingly common one — runs without a
+  // function call.
+  TlbResult Lookup(uint64_t vaddr, bool huge) {
+    const uint64_t key = PageNumber(vaddr, huge);
+    SmallLruSet& l1 = huge ? l1_2m_ : l1_4k_;
+    if (l1.Touch(key)) {
+      return TlbResult::kL1Hit;
+    }
+    if (l2_.Touch(key)) {
+      // Promote into L1; the L1 probe above just missed, so the key is known
+      // absent there.
+      l1.InsertAbsent(key);
+      return TlbResult::kL2Hit;
+    }
+    return TlbResult::kMiss;
+  }
 
   void Insert(uint64_t vaddr, bool huge);
 
   // Removes translations covering the page (TLB shootdown on munmap/remap).
   void InvalidatePage(uint64_t vaddr, bool huge);
   void Flush();
-
-  bool reference_sim() const { return reference_; }
 
  private:
   static uint64_t PageNumber(uint64_t vaddr, bool huge) {
@@ -312,43 +299,12 @@ class Tlb {
     return (page << 1) | (huge ? 1 : 0);
   }
 
-  // Out-of-line tail of Lookup for the reference structures (which cannot be
-  // usefully inlined). The fast-set L2-probe/promote tail is inline below.
-  TlbResult LookupReference(uint64_t key, bool huge);
-  TlbResult LookupFastTail(uint64_t key, bool huge) {
-    if (f_l2_.Touch(key)) {
-      // Promote into L1; the L1 probe in Lookup just missed, so the key is
-      // known absent there.
-      (huge ? f_l1_2m_ : f_l1_4k_).InsertAbsent(key);
-      return TlbResult::kL2Hit;
-    }
-    return TlbResult::kMiss;
-  }
-
-  const bool reference_;
-
-  // Only the implementation selected by reference_ is populated; the other
-  // sets are constructed with capacity 0 and never touched. The fast build
-  // uses the SWAR small set for the (at most 64-entry) L1 arrays and the
-  // indexed flat set for the large L2.
-  SmallLruSet f_l1_4k_;
-  SmallLruSet f_l1_2m_;
-  FlatLruSet f_l2_;
-  ReferenceLruSet r_l1_4k_;
-  ReferenceLruSet r_l1_2m_;
-  ReferenceLruSet r_l2_;
+  // The SWAR small set serves the (at most 64-entry) L1 arrays; the indexed
+  // flat set the large L2.
+  SmallLruSet l1_4k_;
+  SmallLruSet l1_2m_;
+  FlatLruSet l2_;
 };
-
-inline TlbResult Tlb::Lookup(uint64_t vaddr, bool huge) {
-  const uint64_t key = PageNumber(vaddr, huge);
-  if (reference_) {
-    return LookupReference(key, huge);
-  }
-  if ((huge ? f_l1_2m_ : f_l1_4k_).Touch(key)) {
-    return TlbResult::kL1Hit;
-  }
-  return LookupFastTail(key, huge);
-}
 
 }  // namespace vmem
 

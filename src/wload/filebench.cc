@@ -226,9 +226,10 @@ Result<FilebenchResult> Filebench::Run() {
     return status.ok();
   };
 
-  SimRunner runner = phase.MakeRunner(config_.num_threads, config_.num_cpus);
   FilebenchResult result;
-  result.run = runner.Run(config_.ops_per_thread, op);
+  result.run = phase.MakeRunner(config_.num_threads, config_.num_cpus)
+                   .Run(config_.ops_per_thread, op)
+                   .run;
   return result;
 }
 

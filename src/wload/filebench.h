@@ -7,7 +7,7 @@
 #include <string>
 
 #include "src/vfs/file_system.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace wload {
 

@@ -3,7 +3,7 @@
 // wload application models, tools/tracectl, and the trace replayer. Before
 // this existed each harness re-implemented "make device + filesystem + mmap
 // engine, mkfs-or-mount, anchor the setup clock, hand the end time to
-// SimRunner" by copy; divergence between copies showed up as modeled-time
+// the runner" by copy; divergence between copies showed up as modeled-time
 // skew between benches that should have been comparable.
 #ifndef SRC_WLOAD_HARNESS_H_
 #define SRC_WLOAD_HARNESS_H_
@@ -16,7 +16,7 @@
 #include "src/pmem/device.h"
 #include "src/vfs/file_system.h"
 #include "src/vmem/mmap_engine.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace wload {
 
@@ -34,7 +34,7 @@ struct BedSpec {
 };
 
 // A complete test substrate. `setup` is the context the mkfs/mount ran under:
-// its clock carries the setup cost, so anchoring a SimRunner (or a replayer)
+// its clock carries the setup cost, so anchoring a ParallelRunner (or a replayer)
 // at setup.clock.NowNs() continues the simulated timeline instead of
 // replaying over the setup phase's SimMutex watermarks.
 struct Bed {
@@ -53,7 +53,7 @@ common::Result<Bed> MakeBed(const BedSpec& spec);
 
 // Anchored setup phase for drivers that run their own pre-population before
 // measuring: construct at the workload's start time, run setup ops against
-// ctx(), then MakeRunner() hands back a SimRunner whose base is wherever the
+// ctx(), then MakeRunner() hands back a ParallelRunner whose base is wherever the
 // setup clock ended (the pattern previously hand-rolled in filebench/oltp/
 // wtiger call sites).
 class SetupPhase {
@@ -63,11 +63,11 @@ class SetupPhase {
   }
 
   common::ExecContext& ctx() { return ctx_; }
-  // Simulated time where setup left off; feed to SimRunner / ReplayOptions.
+  // Simulated time where setup left off; feed to ParallelRunner / ReplayOptions.
   uint64_t end_ns() const { return ctx_.clock.NowNs(); }
 
-  SimRunner MakeRunner(uint32_t num_threads, uint32_t num_cpus) const {
-    return SimRunner(num_threads, num_cpus, end_ns());
+  ParallelRunner MakeRunner(uint32_t num_threads, uint32_t num_cpus) const {
+    return ParallelRunner(num_threads, num_cpus, end_ns());
   }
 
  private:

@@ -67,8 +67,8 @@ Result<RunResult> OltpEngine::RunReadWrite() {
     return fs_->Fsync(ctx, wal_fd_).ok();
   };
 
-  SimRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
-  return runner.Run(config_.transactions_per_thread, op);
+  ParallelRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
+  return runner.Run(config_.transactions_per_thread, op).run;
 }
 
 }  // namespace wload

@@ -38,7 +38,7 @@ struct StressRng {
 };
 
 // The discrete-event candidate inside one shard: the runnable thread with the
-// smallest (clock, tid), i.e. exactly SimRunner's pick restricted to the
+// smallest (clock, tid), i.e. exactly the one-worker pick restricted to the
 // shard. Returns nullptr when the whole shard is done.
 ThreadState* ShardBest(std::vector<ThreadState>& threads, uint32_t lo, uint32_t hi,
                        uint32_t* best_tid) {
@@ -82,8 +82,7 @@ void SpreadWorker(uint32_t w) {
 #endif
 }
 
-// Runs one scheduler pick: up to `batch` ops of `ts`, mirroring SimRunner's
-// inner loop. Returns ops executed.
+// Runs one scheduler pick: up to `batch` ops of `ts`. Returns ops executed.
 uint64_t RunBatch(ThreadState& ts, uint32_t tid, uint64_t ops_per_thread,
                   const ParallelRunner::OpFn& op, uint32_t batch) {
   uint64_t executed = 0;
@@ -141,7 +140,10 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
   const auto host_start = std::chrono::steady_clock::now();
 
   if (workers == 1) {
-    // Scalar path: literally SimRunner's loop over the one shard.
+    // Discrete-event order: always run the thread with the smallest simulated
+    // clock. This keeps SimMutex watermark jumps bounded by actual critical-
+    // section durations — running a leading thread's future before a lagging
+    // thread's past would serialize everything through shared locks.
     while (true) {
       uint32_t tid = 0;
       ThreadState* best = ShardBest(threads, 0, num_threads_, &tid);
@@ -174,7 +176,7 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
             std::this_thread::yield();
           }
           // Blocks until `key` is the strict global minimum: this pick is
-          // exactly the pick SimRunner's global scan would make. The
+          // exactly the pick the one-worker scan would make. The
           // release-store in Publish / acquire-loads in AwaitTurn carry a
           // happens-before edge from every earlier op to this one.
           gate.AwaitTurn(w, key);
@@ -220,8 +222,8 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
           std::chrono::steady_clock::now() - host_start)
           .count());
 
-  // Deterministic merge: identical to SimRunner's epilogue — counters summed
-  // in global tid order, wall_ns the max simulated end time.
+  // Deterministic merge: counters summed in global tid order, wall_ns the max
+  // simulated end time.
   for (uint32_t t = 0; t < num_threads_; t++) {
     out.run.total_ops += threads[t].next_op;
     out.run.wall_ns = std::max(out.run.wall_ns, threads[t].ctx.clock.NowNs() - base_ns_);

@@ -1,11 +1,20 @@
-// True multi-core workload execution: N host worker threads drive disjoint
-// parts of the simulated thread set, with a deterministic merge that keeps
-// every modeled output (PerfCounters, wall_ns, namespace state)
-// bit-identical to SimRunner's single-host-thread schedule.
+// Deterministic multi-threaded workload execution.
 //
-// Two modes, selected from the filesystem's ParallelPolicy:
+// Each simulated thread has its own ExecContext/SimClock, and ops run in
+// discrete-event order: always the runnable thread with the smallest
+// simulated clock (ties to the lowest tid), up to `batch` ops per pick.
+// Because the per-thread clocks advance in near-lockstep, SimMutex/
+// ResourceClock queueing reproduces contention the way truly concurrent
+// threads would experience it. Aggregate throughput is total work / max
+// per-thread simulated end time.
 //
-//  * kLockstep — a turnstile (LockstepGate) reproduces SimRunner's exact
+// By default one host thread runs that schedule. More host workers
+// (SetWorkers) drive disjoint parts of the simulated thread set, with a
+// deterministic merge that keeps every modeled output (PerfCounters,
+// wall_ns, namespace state) bit-identical to the one-worker schedule. Two
+// modes, selected from the filesystem's ParallelPolicy:
+//
+//  * kLockstep — a turnstile (LockstepGate) reproduces the one-worker
 //    discrete-event order: every worker publishes the (clock, tid) key of its
 //    next candidate op and only the holder of the strict global minimum
 //    executes. The release/acquire baton makes every op's writes visible to
@@ -26,15 +35,34 @@
 #define SRC_WLOAD_PARALLEL_RUNNER_H_
 
 #include <cstdint>
+#include <functional>
 
+#include "src/common/exec_context.h"
 #include "src/common/shard_sync.h"
+#include "src/obs/gauges.h"
+#include "src/obs/metrics.h"
+#include "src/obs/profiler.h"
+#include "src/obs/trace.h"
 #include "src/vfs/file_system.h"
-#include "src/wload/sim_runner.h"
 
 namespace wload {
 
+struct RunResult {
+  uint64_t total_ops = 0;
+  uint64_t wall_ns = 0;  // max over threads of simulated end time
+  common::PerfCounters counters;
+
+  double OpsPerSecond() const {
+    return wall_ns == 0 ? 0.0
+                        : static_cast<double>(total_ops) * 1e9 / static_cast<double>(wall_ns);
+  }
+  double MiBPerSecond(uint64_t bytes_per_op) const {
+    return OpsPerSecond() * static_cast<double>(bytes_per_op) / (1024.0 * 1024.0);
+  }
+};
+
 struct ParallelResult {
-  // Modeled outputs — bit-identical to SimRunner::Run for the same inputs.
+  // Modeled outputs — bit-identical for every worker count.
   RunResult run;
   // Host-side observability (never compared across schedules).
   uint64_t host_wall_ns = 0;       // wall-clock of the parallel section
@@ -45,7 +73,9 @@ struct ParallelResult {
 
 class ParallelRunner {
  public:
-  using OpFn = SimRunner::OpFn;
+  // op(tid, op_index, ctx) performs one operation and returns false to stop
+  // that thread early.
+  using OpFn = std::function<bool(uint32_t tid, uint64_t op_index, common::ExecContext& ctx)>;
 
   enum class Mode { kLockstep, kSharded };
 
@@ -54,8 +84,9 @@ class ParallelRunner {
                                                                  : Mode::kLockstep;
   }
 
-  // Mirror of SimRunner's constructor: `base_ns` anchors worker clocks so
-  // setup-phase SimMutex watermarks are not double-counted.
+  // `base_ns` anchors the simulated timeline: worker clocks start there so
+  // SimMutex watermarks left by setup phases are not double-counted, and
+  // wall_ns is reported relative to it.
   ParallelRunner(uint32_t num_threads, uint32_t num_cpus, uint64_t base_ns = 0)
       : num_threads_(num_threads), num_cpus_(num_cpus), base_ns_(base_ns) {}
 
@@ -75,10 +106,12 @@ class ParallelRunner {
     stress_ = true;
     return *this;
   }
-  // Observability sinks, honored when the schedule is sequential-equivalent
-  // (workers == 1 or lockstep mode). Free-running sharded workers would race
-  // on the shared buffers, so observers are dropped there; benches attach
-  // observers only on non-parallel rows.
+  // Observability sinks propagated into every simulated thread's ExecContext
+  // (null disables collection; not owned, must outlive Run()). Honored when
+  // the schedule is sequential-equivalent (workers == 1 or lockstep mode).
+  // Free-running sharded workers would race on the shared buffers, so
+  // observers are dropped there; benches attach observers only on
+  // non-parallel rows.
   ParallelRunner& SetObservers(obs::TraceBuffer* trace, obs::MetricsRegistry* metrics,
                                obs::TimeSeriesSampler* sampler = nullptr,
                                obs::Profiler* profiler = nullptr) {

@@ -66,8 +66,8 @@ Result<RunResult> Wtiger::FillRandom() {
     return true;
   };
 
-  SimRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
-  auto result = runner.Run(per_thread, op);
+  ParallelRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
+  const RunResult result = runner.Run(per_thread, op).run;
   config_.start_time_ns += result.wall_ns;  // ReadRandom continues after fill
   return result;
 }
@@ -87,8 +87,8 @@ Result<RunResult> Wtiger::ReadRandom() {
     return fs_->Pread(ctx, table_fd_, out.data(), config_.value_bytes, off).ok();
   };
 
-  SimRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
-  return runner.Run(per_thread, op);
+  ParallelRunner runner(config_.num_threads, config_.num_cpus, config_.start_time_ns);
+  return runner.Run(per_thread, op).run;
 }
 
 }  // namespace wload

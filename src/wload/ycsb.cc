@@ -39,12 +39,15 @@ YcsbResult YcsbDriver::Load(uint32_t num_threads) {
   }
   const uint64_t per_thread = config_.record_count / num_threads;
   std::vector<uint8_t> value(config_.value_bytes, 0x5c);
-  SimRunner runner(num_threads, config_.num_cpus, base_ns_);
+  ParallelRunner runner(num_threads, config_.num_cpus, base_ns_);
   YcsbResult result;
-  result.run = runner.Run(per_thread, [&](uint32_t tid, uint64_t i, common::ExecContext& ctx) {
-    const uint64_t key = tid * per_thread + i;
-    return store_->Put(ctx, key, value.data(), value.size()).ok();
-  });
+  result.run = runner
+                   .Run(per_thread,
+                        [&](uint32_t tid, uint64_t i, common::ExecContext& ctx) {
+                          const uint64_t key = tid * per_thread + i;
+                          return store_->Put(ctx, key, value.data(), value.size()).ok();
+                        })
+                   .run;
   base_ns_ += result.run.wall_ns;
   inserted_ = per_thread * num_threads;
   return result;
@@ -136,9 +139,9 @@ YcsbResult YcsbDriver::Run(YcsbWorkload workload) {
     return true;  // keep running; misses are counted, not fatal
   };
 
-  SimRunner runner(config_.num_threads, config_.num_cpus, base_ns_);
+  ParallelRunner runner(config_.num_threads, config_.num_cpus, base_ns_);
   YcsbResult result;
-  result.run = runner.Run(per_thread, op);
+  result.run = runner.Run(per_thread, op).run;
   base_ns_ += result.run.wall_ns;
   result.not_found = not_found.load();
   inserted_ = next_insert.load();

@@ -9,7 +9,7 @@
 
 #include "src/common/rng.h"
 #include "src/wload/kv_interface.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace wload {
 

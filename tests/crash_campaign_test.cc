@@ -19,7 +19,7 @@
 #include "src/fs/registry.h"
 #include "src/obs/gauges.h"
 #include "src/pmem/fault_injector.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace {
 
@@ -192,7 +192,7 @@ TEST(CrashCampaignTest, ScrubDaemonReportsMeanTimeToDetect) {
   sampler.AddProvider(&scrub);
 
   // Thread 0: foreground metadata traffic. Thread 1: the scrub daemon.
-  wload::SimRunner runner(/*num_threads=*/2, /*num_cpus=*/2);
+  wload::ParallelRunner runner(/*num_threads=*/2, /*num_cpus=*/2);
   runner.SetObservers(nullptr, nullptr, &sampler);
   auto result = runner.Run(400, [&](uint32_t tid, uint64_t i, common::ExecContext& ctx) {
     if (tid == 1) {
@@ -208,7 +208,7 @@ TEST(CrashCampaignTest, ScrubDaemonReportsMeanTimeToDetect) {
     (void)fs->Close(ctx, *fd);
     return true;
   });
-  EXPECT_GT(result.total_ops, 0u);
+  EXPECT_GT(result.run.total_ops, 0u);
 
   // The scrubber swept the whole metadata region at least once and found the
   // injected corruption with a positive, finite detection latency.
@@ -219,7 +219,7 @@ TEST(CrashCampaignTest, ScrubDaemonReportsMeanTimeToDetect) {
 
   // MTTD flows through the gauges pipeline.
   common::ExecContext probe;
-  probe.clock.SetNs(result.wall_ns + 1);
+  probe.clock.SetNs(result.run.wall_ns + 1);
   probe.AttachSampler(&sampler);
   sampler.SampleNow(probe);
   const auto* points = sampler.series().Points("scrub_mttd_ns");

@@ -25,7 +25,7 @@
 #include "src/common/units.h"
 #include "src/fs/registry.h"
 #include "src/vfs/op_batch.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace {
 
@@ -480,9 +480,10 @@ TEST_P(OpBatchEquivalenceTest, RemountKeepsEveryPath) {
 // journal-lock guard) still produces identical clocks. Under contention that
 // same shift changes how long OTHER threads queue. This test runs the fig10
 // metadata op (open/append x4/fsync/close/unlink, per thread in its own
-// directory) under the deterministic SimRunner schedule on twin instances —
-// batched dispatch on one, scalar virtuals on the other — and requires the
-// aggregate simulated wall time and every counter to match bit-exactly.
+// directory) under the deterministic ParallelRunner schedule on twin
+// instances — batched dispatch on one, scalar virtuals on the other — and
+// requires the aggregate simulated wall time and every counter to match
+// bit-exactly.
 TEST_P(OpBatchEquivalenceTest, MultiThreadedContentionBitIdentical) {
   const std::string fs_name = GetParam();
   // fig10's one-socket shape: more CPUs than threads, so per-CPU structures
@@ -542,8 +543,8 @@ TEST_P(OpBatchEquivalenceTest, MultiThreadedContentionBitIdentical) {
       }
       return fs->Unlink(ctx, path).ok();
     };
-    wload::SimRunner runner(kThreads, kCpus, setup.clock.NowNs());
-    return runner.Run(kOpsPerThread, op);
+    wload::ParallelRunner runner(kThreads, kCpus, setup.clock.NowNs());
+    return runner.Run(kOpsPerThread, op).run;
   };
 
   const wload::RunResult batched = run(fs_batched.get(), /*batched=*/true);

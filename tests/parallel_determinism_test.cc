@@ -1,10 +1,11 @@
 // Deterministic-merge contract of wload::ParallelRunner: for every stock
 // filesystem, a run fanned across {1, 2, 8} host worker threads must produce
 // modeled outputs (total_ops, wall_ns, every PerfCounters field) bit-identical
-// to the scalar SimRunner schedule, and the logical post-run filesystem state
-// (namespace + sizes + bytes, remounted through the normal recovery path)
-// must hash identically. Host-side values (host_wall_ns, hazard counts) are
-// deliberately NOT compared — they describe the machine, not the model.
+// to a separate one-worker run on a fresh bed, and the logical post-run
+// filesystem state (namespace + sizes + bytes, remounted through the normal
+// recovery path) must hash identically. Host-side values (host_wall_ns,
+// hazard counts) are deliberately NOT compared — they describe the machine,
+// not the model.
 //
 // The torn-schedule case re-runs the sharded filesystems with pseudo-random
 // host yields injected between scheduler picks, so a TSan build explores
@@ -24,7 +25,6 @@
 #include "src/vfs/file_system.h"
 #include "src/wload/harness.h"
 #include "src/wload/parallel_runner.h"
-#include "src/wload/sim_runner.h"
 
 namespace {
 
@@ -52,7 +52,7 @@ wload::Bed MakeParallelBed(const std::string& fs_name) {
 // The measured op mix: create/append/fsync/close with periodic mkdir and
 // unlink, entirely inside the thread's own subtree. Deterministic in
 // (tid, op_index) so every schedule performs the same logical work.
-wload::SimRunner::OpFn MakeOp(vfs::FileSystem* fs) {
+wload::ParallelRunner::OpFn MakeOp(vfs::FileSystem* fs) {
   return [fs](uint32_t tid, uint64_t i, common::ExecContext& ctx) {
     const std::string dir = "/t" + std::to_string(tid);
     if (i % 5 == 4) {
@@ -141,15 +141,6 @@ struct Outcome {
   uint64_t state_hash = 0;
 };
 
-Outcome RunScalar(const std::string& fs_name) {
-  wload::Bed bed = MakeParallelBed(fs_name);
-  wload::SimRunner runner(kThreads, kThreads, bed.setup.clock.NowNs());
-  Outcome out;
-  out.run = runner.Run(kOps, MakeOp(bed.fs.get()));
-  out.state_hash = RecoveredStateHash(bed);
-  return out;
-}
-
 Outcome RunParallel(const std::string& fs_name, uint32_t workers, bool stress) {
   wload::Bed bed = MakeParallelBed(fs_name);
   wload::ParallelRunner runner(kThreads, kThreads, bed.setup.clock.NowNs());
@@ -184,11 +175,11 @@ TEST(ParallelPolicy, PerCpuFilesystemsDeclareSharded) {
 
 TEST(ParallelDeterminism, BitIdenticalAcrossWorkerCounts) {
   for (const char* fs_name : kStockFs) {
-    const Outcome scalar = RunScalar(fs_name);
-    EXPECT_EQ(scalar.run.total_ops, uint64_t{kThreads * kOps}) << fs_name;
+    const Outcome one = RunParallel(fs_name, 1, /*stress=*/false);
+    EXPECT_EQ(one.run.total_ops, uint64_t{kThreads * kOps}) << fs_name;
     for (uint32_t workers : {1u, 2u, 8u}) {
       const Outcome par = RunParallel(fs_name, workers, /*stress=*/false);
-      ExpectIdentical(std::string(fs_name) + " w=" + std::to_string(workers), par, scalar);
+      ExpectIdentical(std::string(fs_name) + " w=" + std::to_string(workers), par, one);
     }
   }
 }
@@ -198,11 +189,11 @@ TEST(ParallelDeterminism, TornScheduleStressDoesNotMoveModeledOutputs) {
   // exercises the turnstile under the same yield storm. Under TSan this is
   // the race hunt; under a plain build it still proves schedule independence.
   for (const char* fs_name : {"winefs", "nova", "ext4-dax"}) {
-    const Outcome scalar = RunScalar(fs_name);
+    const Outcome one = RunParallel(fs_name, 1, /*stress=*/false);
     for (uint32_t workers : {2u, 8u}) {
       const Outcome par = RunParallel(fs_name, workers, /*stress=*/true);
       ExpectIdentical(std::string(fs_name) + " stressed w=" + std::to_string(workers), par,
-                      scalar);
+                      one);
     }
   }
 }

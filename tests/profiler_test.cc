@@ -20,7 +20,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/vfs/op_batch.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 
 namespace {
 
@@ -276,11 +276,11 @@ TEST_P(ProfilerFsTest, ModeledOutputBitIdenticalWithProfilerAttached) {
       }
       return fs->Unlink(ctx, path).ok();
     };
-    wload::SimRunner runner(kThreads, kCpus, setup.clock.NowNs());
+    wload::ParallelRunner runner(kThreads, kCpus, setup.clock.NowNs());
     if (profiler != nullptr) {
       runner.SetObservers(nullptr, nullptr, nullptr, profiler);
     }
-    return runner.Run(kOpsPerThread, op);
+    return runner.Run(kOpsPerThread, op).run;
   };
 
   obs::Profiler profiler(/*sample_shift=*/0);

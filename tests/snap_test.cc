@@ -64,8 +64,8 @@ std::vector<bool> RecountZeroChunks(const std::vector<uint8_t>& bytes) {
   return zero;
 }
 
-// Format v1 written the plain way: serial FNV-1a over the header and over
-// each non-zero chunk, records in chunk order.
+// Format v2 written the plain way: serial FNV-1a over the header and over
+// each non-zero chunk's 8-byte index then payload, records in chunk order.
 std::vector<uint8_t> ReferenceImage(const std::vector<uint8_t>& bytes,
                                     const pmem::CostModel& model, uint32_t numa_nodes,
                                     snap::ImageKind kind, const std::string& provenance) {
@@ -78,7 +78,7 @@ std::vector<uint8_t> ReferenceImage(const std::vector<uint8_t>& bytes,
   auto u64 = [&put](uint64_t v) { put(&v, sizeof(v)); };
   const std::vector<bool> zero = RecountZeroChunks(bytes);
   u64(0x31474d4950414e53ull);  // "SNAPIMG1"
-  u32(1);
+  u32(2);
   u32(static_cast<uint32_t>(kind));
   u64(bytes.size());
   u64(pmem::kSnapChunkBytes);
@@ -102,7 +102,8 @@ std::vector<uint8_t> ReferenceImage(const std::vector<uint8_t>& bytes,
     const uint64_t off = c * pmem::kSnapChunkBytes;
     const uint64_t len = std::min<uint64_t>(pmem::kSnapChunkBytes, bytes.size() - off);
     u64(c);
-    u64(snap::Fnv1a(bytes.data() + off, len));
+    u64(snap::Fnv1a(bytes.data() + off, len,
+                    snap::Fnv1a(reinterpret_cast<const uint8_t*>(&c), sizeof(c))));
     put(bytes.data() + off, len);
   }
   return out;
@@ -253,7 +254,7 @@ class SnapDamageTest : public ::testing::Test {
     f.write(reinterpret_cast<const char*>(&value), 1);
   }
 
-  // Reads the saved image and checks its v1 layout: a 172-byte fixed header
+  // Reads the saved image and checks its v2 layout: a 172-byte fixed header
   // around the provenance string, then one {u64 index, u64 FNV-1a, payload}
   // record per stored chunk (four here, all full chunks).
   void ReadLayout() {
@@ -313,6 +314,18 @@ TEST_F(SnapDamageTest, StaleFormatVersionIsNotSupported) {
 TEST_F(SnapDamageTest, FlippedChunkByteIsCorrupt) {
   const uint64_t size = std::filesystem::file_size(path_);
   PatchByte(size - 1, 0xfe);  // last payload byte of the last stored chunk
+  auto loaded = snap::LoadImage(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupt);
+}
+
+// The checksum covers a record's index too. Flipping bit 1 of the first
+// record's index moves its payload from chunk 0 to chunk 2, which is in
+// range and stored by no other record, so only the checksum can tell.
+TEST_F(SnapDamageTest, FlippedChunkIndexIsCorrupt) {
+  ASSERT_NO_FATAL_FAILURE(ReadLayout());
+  ASSERT_EQ(image_[header_bytes_], 0);  // the first record stores chunk 0
+  PatchByte(header_bytes_, 0x02);
   auto loaded = snap::LoadImage(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupt);

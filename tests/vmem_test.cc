@@ -241,59 +241,54 @@ TEST_F(MmapEngineTest, OutOfBoundsAccessFails) {
 // line they could cross into the physically next device block, which another
 // file may own. One 4 KB-mapped page, whose device neighbour is watched.
 TEST(MmapLineBoundsTest, OpLeavingItsLineFailsAndSparesTheNextBlock) {
-  for (const bool reference : {false, true}) {
-    SCOPED_TRACE(reference ? "reference simulator" : "fast simulator");
-    pmem::PmemDevice dev(16 * common::kMiB);
-    MmuParams params;
-    params.reference_sim = reference;
-    vmem::MmapEngine engine(&dev, params, 1);
-    FakeHandler handler(4 * common::kMiB, /*huge=*/false);
-    auto map = engine.Mmap(&handler, 1, kBlockSize, /*writable=*/true);
-    const uint64_t neighbour = 4 * common::kMiB + kBlockSize;
-    std::memset(dev.raw_span(neighbour, common::kCacheline), 0xa5, common::kCacheline);
-    auto neighbour_intact = [&] {
-      const uint8_t* bytes = dev.raw_span(neighbour, common::kCacheline);
-      for (uint64_t i = 0; i < common::kCacheline; i++) {
-        if (bytes[i] != 0xa5) {
-          return false;
-        }
+  pmem::PmemDevice dev(16 * common::kMiB);
+  vmem::MmapEngine engine(&dev, MmuParams{}, 1);
+  FakeHandler handler(4 * common::kMiB, /*huge=*/false);
+  auto map = engine.Mmap(&handler, 1, kBlockSize, /*writable=*/true);
+  const uint64_t neighbour = 4 * common::kMiB + kBlockSize;
+  std::memset(dev.raw_span(neighbour, common::kCacheline), 0xa5, common::kCacheline);
+  auto neighbour_intact = [&] {
+    const uint8_t* bytes = dev.raw_span(neighbour, common::kCacheline);
+    for (uint64_t i = 0; i < common::kCacheline; i++) {
+      if (bytes[i] != 0xa5) {
+        return false;
       }
-      return true;
-    };
-    ExecContext ctx;
-    const uint64_t ones = ~0ull;
-    uint64_t out = 0;
+    }
+    return true;
+  };
+  ExecContext ctx;
+  const uint64_t ones = ~0ull;
+  uint64_t out = 0;
 
-    EXPECT_EQ(map->StoreLine(ctx, kBlockSize - 4, &ones).status().code(),
-              common::ErrorCode::kInvalidArgument);
-    EXPECT_EQ(map->LoadLine(ctx, kBlockSize - 4, &out).status().code(),
-              common::ErrorCode::kInvalidArgument);
-    EXPECT_EQ(map->StoreLine(ctx, 60, &ones).status().code(), common::ErrorCode::kInvalidArgument);
-    EXPECT_TRUE(neighbour_intact());
+  EXPECT_EQ(map->StoreLine(ctx, kBlockSize - 4, &ones).status().code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(map->LoadLine(ctx, kBlockSize - 4, &out).status().code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(map->StoreLine(ctx, 60, &ones).status().code(), common::ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(neighbour_intact());
 
-    // Op 2 of a batch: the ops before it land, it and the ops after do not.
-    std::vector<vmem::LineOp> ops = {
-        {0, 1, 0}, {64, 2, 0}, {kBlockSize - 4, ones, 0}, {128, 3, 0}};
-    EXPECT_EQ(map->AccessLines(ctx, ops.data(), ops.size(), /*write=*/true).code(),
-              common::ErrorCode::kInvalidArgument);
-    EXPECT_TRUE(neighbour_intact());
-    ASSERT_TRUE(map->LoadLine(ctx, 0, &out).ok());
-    EXPECT_EQ(out, 1u);
-    ASSERT_TRUE(map->LoadLine(ctx, 64, &out).ok());
-    EXPECT_EQ(out, 2u);
-    ASSERT_TRUE(map->LoadLine(ctx, 128, &out).ok());
-    EXPECT_EQ(out, 0u);
-    std::vector<vmem::LineOp> reads = {{0, 0, 0}, {kBlockSize - 4, 0, 0}};
-    EXPECT_EQ(map->AccessLines(ctx, reads.data(), reads.size(), /*write=*/false).code(),
-              common::ErrorCode::kInvalidArgument);
-    EXPECT_EQ(reads[0].value, 1u);
+  // Op 2 of a batch: the ops before it land, it and the ops after do not.
+  std::vector<vmem::LineOp> ops = {
+      {0, 1, 0}, {64, 2, 0}, {kBlockSize - 4, ones, 0}, {128, 3, 0}};
+  EXPECT_EQ(map->AccessLines(ctx, ops.data(), ops.size(), /*write=*/true).code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_TRUE(neighbour_intact());
+  ASSERT_TRUE(map->LoadLine(ctx, 0, &out).ok());
+  EXPECT_EQ(out, 1u);
+  ASSERT_TRUE(map->LoadLine(ctx, 64, &out).ok());
+  EXPECT_EQ(out, 2u);
+  ASSERT_TRUE(map->LoadLine(ctx, 128, &out).ok());
+  EXPECT_EQ(out, 0u);
+  std::vector<vmem::LineOp> reads = {{0, 0, 0}, {kBlockSize - 4, 0, 0}};
+  EXPECT_EQ(map->AccessLines(ctx, reads.data(), reads.size(), /*write=*/false).code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(reads[0].value, 1u);
 
-    // The last 8 bytes of a line are still one op's to move.
-    ASSERT_TRUE(map->StoreLine(ctx, kBlockSize - 8, &ones).ok());
-    ASSERT_TRUE(map->LoadLine(ctx, kBlockSize - 8, &out).ok());
-    EXPECT_EQ(out, ones);
-    EXPECT_TRUE(neighbour_intact());
-  }
+  // The last 8 bytes of a line are still one op's to move.
+  ASSERT_TRUE(map->StoreLine(ctx, kBlockSize - 8, &ones).ok());
+  ASSERT_TRUE(map->LoadLine(ctx, kBlockSize - 8, &out).ok());
+  EXPECT_EQ(out, ones);
+  EXPECT_TRUE(neighbour_intact());
 }
 
 TEST_F(MmapEngineTest, ReadOnlyMappingRejectsWrites) {

@@ -13,7 +13,7 @@
 #include "src/wload/oltp.h"
 #include "src/wload/part.h"
 #include "src/wload/pool_kv.h"
-#include "src/wload/sim_runner.h"
+#include "src/wload/parallel_runner.h"
 #include "src/wload/wtiger.h"
 #include "src/wload/ycsb.h"
 
@@ -37,20 +37,21 @@ class WloadTest : public ::testing::Test {
   std::unique_ptr<vmem::MmapEngine> engine_;
 };
 
-TEST_F(WloadTest, SimRunnerAggregates) {
-  wload::SimRunner runner(4, 4);
-  auto result = runner.Run(100, [](uint32_t, uint64_t, ExecContext& ctx) {
+TEST_F(WloadTest, RunnerAggregates) {
+  wload::ParallelRunner runner(4, 4);
+  const wload::RunResult result = runner.Run(100, [](uint32_t, uint64_t, ExecContext& ctx) {
     ctx.clock.Advance(10);
     return true;
-  });
+  }).run;
   EXPECT_EQ(result.total_ops, 400u);
   EXPECT_EQ(result.wall_ns, 1000u);  // threads in parallel: 100 ops x 10 ns
   EXPECT_GT(result.OpsPerSecond(), 0.0);
 }
 
-TEST_F(WloadTest, SimRunnerStopsEarly) {
-  wload::SimRunner runner(2, 2);
-  auto result = runner.Run(100, [](uint32_t, uint64_t i, ExecContext&) { return i < 10; });
+TEST_F(WloadTest, RunnerStopsEarly) {
+  wload::ParallelRunner runner(2, 2);
+  const wload::RunResult result =
+      runner.Run(100, [](uint32_t, uint64_t i, ExecContext&) { return i < 10; }).run;
   EXPECT_EQ(result.total_ops, 20u);
 }
 
