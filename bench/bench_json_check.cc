@@ -1,6 +1,6 @@
 // Standalone validator for bench artifacts. Modes:
 //   bench_json_check BENCH_<name>.json
-//       schema v2 validation of the report.
+//       schema v4 validation of the report (obs::kBenchSchemaVersion).
 //   bench_json_check BENCH_<name>.json --require-spans
 //       additionally requires every result row to carry nonzero
 //       fault_handling and data_copy span totals — the trace-derived Figure 2
@@ -24,8 +24,8 @@
 //       asserts both reports carry identical modeled results: same fs rows,
 //       same results[].metrics keys/values (keys prefixed host_ are exempt —
 //       wall-clock measurements), and bit-identical counter dumps. Used for
-//       the cold-aging vs corpus-load equivalence check, the host-worker
-//       replay check, and the fig04/fig08 golden reports.
+//       the cold-aging vs corpus-load equivalence check and the fig04/fig08
+//       golden reports.
 //   bench_json_check --opperf-speedup BENCH_opperf.json [min_ratio]
 //       asserts the batched row's modeled output (non-host_ metrics and the
 //       counter dump) is bit-identical to the scalar row's, and that its host
@@ -44,9 +44,9 @@
 //       (default 2.0). On smaller hosts the ratio gate is waived — parallel
 //       speedup is a hardware property — but the block's presence and shape
 //       are still enforced, as is host_par_speedup_4w > 0.
-//   bench_json_check BENCH_<name>.json --require-scenarios <min_tenants>
+//   bench_json_check BENCH_<name>.json --require-scenarios [min_tenants]
 //       requires a schema-v4 per-tenant section somewhere in the report, with
-//       the largest row covering at least min_tenants tenants — the
+//       the largest row covering at least min_tenants (default 1) tenants — the
 //       trace-replay scenario fleet's multi-tenant output.
 // Violations ACCUMULATE: every check scans its whole input and reports each
 // violation on stderr before the process exits nonzero, so one run shows the
@@ -591,9 +591,16 @@ std::string ReadAll(const char* path, bool& ok) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s BENCH_<name>.json [--require-spans|--require-timeseries]\n"
+                 "usage: %s BENCH_<name>.json [--require-spans | --require-timeseries |\n"
+                 "           --require-snap | --require-snap-warm |\n"
+                 "           --require-contention [min_sites] |\n"
+                 "           --require-scenarios [min_tenants]]\n"
+                 "       %s --compare-metrics A.json B.json\n"
+                 "       %s --opperf-speedup BENCH_opperf.json [min_ratio]\n"
+                 "       %s --prof-overhead BENCH_opperf.json [max_ratio]\n"
+                 "       %s --host-parallel-speedup BENCH_<name>.json [min_ratio]\n"
                  "       %s --chrome-trace TRACE_<name>.json\n",
-                 argv[0], argv[0]);
+                 argv[0], argv[0], argv[0], argv[0], argv[0], argv[0]);
     return 2;
   }
 

@@ -19,7 +19,6 @@
 #include "src/fs/registry.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/gauges.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
 #include "src/obs/trace.h"
@@ -48,18 +47,6 @@ inline TestBed MakeBed(const std::string& fs_name, uint64_t device_bytes,
     std::exit(1);
   }
   return std::move(bed.value());
-}
-
-// Host worker threads requested via the environment (tools/benchrun
-// --host-threads exports this to every bench child; scenarios also honors a
-// --host-threads flag). 0/unset/garbage all mean 1.
-inline uint32_t HostThreadsFromEnv() {
-  const char* env = std::getenv("WINEFS_HOST_THREADS");
-  if (env == nullptr) {
-    return 1;
-  }
-  const long parsed = std::strtol(env, nullptr, 10);
-  return parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
 }
 
 // Bed backed by a COW fork of an aged snapshot: mounting runs the
@@ -101,9 +88,8 @@ inline void AddSnapConfig(obs::BenchReport& report, const snap::Corpus& corpus,
   report.AddConfig("snap_load_wall_ms", static_cast<double>(s.load_wall_ms));
 }
 
-// One filesystem's observability bundle for a bench run: span trace, op
-// metrics, the periodic gauge sampler, and the contention/attribution
-// profiler. Keep one FsObs per filesystem (or ctx.Reset() between
+// One filesystem's observability bundle for a bench run: span trace, the
+// periodic gauge sampler, and the contention/attribution profiler. Keep one FsObs per filesystem (or ctx.Reset() between
 // filesystems) so samples never bleed across rows.
 struct FsObs {
   // 4096 retained events per filesystem keeps TRACE_<bench>.json exports a
@@ -111,7 +97,6 @@ struct FsObs {
   static constexpr size_t kTraceCapacity = 4096;
 
   obs::TraceBuffer trace;
-  obs::MetricsRegistry metrics;
   obs::TimeSeriesSampler sampler;
   obs::Profiler profiler;
 
@@ -129,14 +114,12 @@ inline void AttachObs(common::ExecContext& ctx, TestBed& bed, FsObs& fs_obs) {
   fs_obs.sampler.AddProvider(bed.fs.get());
   fs_obs.sampler.AddProvider(bed.engine.get());
   ctx.AttachTrace(&fs_obs.trace);
-  ctx.AttachMetrics(&fs_obs.metrics);
   ctx.AttachSampler(&fs_obs.sampler);
   ctx.AttachProfiler(&fs_obs.profiler);
 }
 
 inline void DetachObs(common::ExecContext& ctx) {
   ctx.AttachTrace(nullptr);
-  ctx.AttachMetrics(nullptr);
   ctx.AttachSampler(nullptr);
   ctx.AttachProfiler(nullptr);
 }

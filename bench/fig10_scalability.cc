@@ -123,7 +123,7 @@ LadderPoint MeasureLadder(const std::string& fs_name, uint32_t threads, uint64_t
     return true;
   };
   wload::ParallelRunner runner(threads, threads, setup.clock.NowNs());
-  runner.SetWorkers(host_workers).SetMode(wload::ParallelRunner::ModeFor(*bed.fs));
+  runner.SetWorkers(host_workers, *bed.fs);
   LadderPoint point;
   point.par = runner.Run(ops, op);
   point.kops = point.par.run.OpsPerSecond() / 1000.0;
@@ -265,13 +265,12 @@ int main() {
     Row(cells, 10);
   }
 
-  // --- Deterministic-merge self-check: all six filesystems, {1,2,8} host
-  // workers, bit-identical modeled outputs (lockstep exactness for the
-  // global-journal designs, shard purity for WineFS/NOVA).
+  // --- Deterministic-merge self-check: the sharded filesystems at {1,2,8}
+  // host workers, bit-identical modeled outputs (shard purity). The others
+  // always run on one worker.
   std::printf("\nhost-parallel determinism self-check ({1,2,8} workers):\n");
   bool identical = true;
-  for (const std::string fs_name :
-       {"ext4-dax", "xfs-dax", "pmfs", "nova", "splitfs", "winefs"}) {
+  for (const std::string fs_name : {"nova", "winefs"}) {
     const bool fs_ok = VerifyParallelIdentity(fs_name, /*threads=*/16, /*ops=*/25);
     std::printf("  %-10s %s\n", fs_name.c_str(), fs_ok ? "bit-identical" : "DIVERGED");
     identical = identical && fs_ok;

@@ -460,7 +460,7 @@ int main() {
         return true;
       };
       wload::ParallelRunner runner(kParCpus, kParCpus, setup.clock.NowNs());
-      runner.SetWorkers(workers).SetMode(wload::ParallelRunner::ModeFor(*bed.fs));
+      runner.SetWorkers(workers, *bed.fs);
       return runner.Run(kParOps, op);
     };
     const auto median = benchutil::MedianSpeedupPair(

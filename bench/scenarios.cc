@@ -36,10 +36,6 @@ namespace {
 
 struct FleetConfig {
   bool quick = false;
-  // Host worker threads for the replay (lockstep ParallelRunner; modeled
-  // outputs identical to the scalar schedule). --host-threads or the
-  // WINEFS_HOST_THREADS env (benchrun plumbs the flag through the env).
-  uint32_t host_threads = 1;
   uint64_t device_bytes = 512 * kMiB;
   std::vector<std::string> lineup;
   std::vector<trace::scenarios::ScenarioSpec> shapes;
@@ -79,15 +75,12 @@ snap::ImageKey AgedKey(const std::string& fs_name, uint64_t device_bytes) {
 // Replays `tr` on `bed` and records the row (metrics, counters, per-tenant
 // summaries, progress time series) under `row_name`. Returns the result for
 // callers that want to cross-check it.
-uint32_t g_host_threads = 1;
-
 trace::ReplayResult ReplayRow(const std::string& row_name, benchutil::TestBed& bed,
                               const trace::Trace& tr, obs::BenchReport& report,
                               bool use_batch) {
   obs::TimeSeriesSampler sampler(obs::TimeSeriesSampler::kDefaultPeriodNs);
   trace::ReplayOptions options;
   options.use_batch = use_batch;
-  options.host_threads = g_host_threads;
   options.base_ns = bed.setup.clock.NowNs();
   options.sampler = &sampler;
   trace::TraceReplayer replayer(bed.fs.get(), options);
@@ -200,19 +193,14 @@ void SelfCheckBatchVsScalar(const FleetConfig& fleet, const trace::Trace& tr) {
 
 int main(int argc, char** argv) {
   FleetConfig fleet;
-  fleet.host_threads = benchutil::HostThreadsFromEnv();
   for (int i = 1; i < argc; i++) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       fleet.quick = true;
-    } else if (std::strcmp(argv[i], "--host-threads") == 0 && i + 1 < argc) {
-      const long parsed = std::strtol(argv[++i], nullptr, 10);
-      fleet.host_threads = parsed < 1 ? 1 : static_cast<uint32_t>(parsed);
     } else {
-      std::fprintf(stderr, "usage: %s [--quick] [--host-threads N]\n", argv[0]);
+      std::fprintf(stderr, "usage: %s [--quick]\n", argv[0]);
       return 2;
     }
   }
-  g_host_threads = fleet.host_threads;
   if (fleet.quick) {
     fleet.device_bytes = 256 * kMiB;
     fleet.lineup = {"winefs", "ext4-dax"};
@@ -231,7 +219,6 @@ int main(int argc, char** argv) {
   obs::BenchReport report("scenarios");
   report.AddConfig("device_mib", static_cast<double>(fleet.device_bytes / kMiB));
   report.AddConfig("quick", fleet.quick ? 1.0 : 0.0);
-  report.AddConfig("host_threads", static_cast<double>(fleet.host_threads));
   report.AddConfig("trace_format_version", static_cast<double>(trace::kTraceFormatVersion));
   {
     std::string names;

@@ -59,22 +59,24 @@ class MetricsRegistry : public common::ObsSink {
   std::map<Key, uint64_t> counters_;
 };
 
-// RAII scope that records the simulated time spent in one filesystem op into
-// the context's MetricsRegistry, and — because every filesystem operation
-// passes through here — gives the context's TimeSeriesSampler its
-// sample-on-cross opportunity and the attached profiler its per-op
-// attribution flush when the op completes. The root fscore zone makes every
-// sampled op fully covered: time not claimed by a nested journal / allocator
-// / device / mmu zone lands in the fscore bucket. No-op when no sink is
-// attached.
+// RAII scope that records the simulated time spent in one op — a filesystem
+// syscall or a mapped call (vmem::MappedFile) — into the context's
+// MetricsRegistry, and, because every such op passes through here, gives the
+// context's TimeSeriesSampler its sample-on-cross opportunity and the
+// attached profiler its per-op attribution flush when the op completes. The
+// root zone (fscore for syscalls, mmu for mapped calls) makes every sampled
+// op fully covered: time not claimed by a nested journal / allocator / device
+// / mmu zone lands in the root's bucket, and none is left over for the next
+// op. No-op when no sink is attached.
 class OpScope {
  public:
-  OpScope(common::ExecContext& ctx, std::string_view fs, std::string_view op)
+  OpScope(common::ExecContext& ctx, std::string_view fs, std::string_view op,
+          common::ProfLayer root = common::ProfLayer::kFsCore)
       : ctx_(ctx),
         fs_(fs),
         op_(op),
         start_ns_(ctx.metrics != nullptr ? ctx.clock.NowNs() : 0),
-        zone_(ctx, common::ProfLayer::kFsCore) {}
+        zone_(ctx, root) {}
 
   OpScope(const OpScope&) = delete;
   OpScope& operator=(const OpScope&) = delete;

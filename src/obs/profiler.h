@@ -10,10 +10,10 @@
 //     path, accumulated from sampled zone exits.
 // Observation-only by construction: the profiler never touches a clock or a
 // counter, so modeled outputs are bit-identical with it attached or not.
-// NOT host-thread-safe: the simulator executes every simulated CPU on one
-// host thread at a time (ParallelRunner's smallest-clock-first schedule; its
-// lockstep workers hand a baton), so the hot hooks are
-// plain unlocked updates — a host lock here measurably taxes the per-op gate.
+// NOT host-thread-safe: observers attach only to ParallelRunner's one-worker
+// schedule, which runs every simulated CPU on one host thread, so the hot
+// hooks are plain unlocked updates — a host lock here measurably taxes the
+// per-op gate.
 #ifndef SRC_OBS_PROFILER_H_
 #define SRC_OBS_PROFILER_H_
 

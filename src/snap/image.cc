@@ -409,4 +409,18 @@ common::Result<ImageInfo> ReadImageInfo(const std::string& path) {
   return info;
 }
 
+common::Result<uint32_t> ReadFormatVersion(const std::string& path) {
+  FilePtr f(std::fopen(path.c_str(), "rb"));
+  Reader r(f.get());
+  uint64_t magic = 0;
+  uint32_t version = 0;
+  if (f == nullptr || !r.U64(&magic) || !r.U32(&version)) {
+    return Status(ErrorCode::kIoError);
+  }
+  if (magic != kMagic) {
+    return Status(ErrorCode::kCorrupt);
+  }
+  return version;
+}
+
 }  // namespace snap

@@ -83,6 +83,11 @@ common::Result<LoadedImage> LoadCheckedImage(const std::string& path,
 // Header-only probe (cheap; used by snapctl list/gc and corpus key checks).
 common::Result<ImageInfo> ReadImageInfo(const std::string& path);
 
+// The format version an image declares, from the magic and version fields
+// alone, so an image of another version can still be named by its version.
+// kIoError if unreadable, kCorrupt on a foreign magic.
+common::Result<uint32_t> ReadFormatVersion(const std::string& path);
+
 }  // namespace snap
 
 #endif  // SRC_SNAP_IMAGE_H_

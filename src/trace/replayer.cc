@@ -227,9 +227,8 @@ Result<ReplayResult> TraceReplayer::Replay(const Trace& trace) {
     return true;
   };
   wload::ParallelRunner runner(num_threads, options_.num_cpus, options_.base_ns);
-  runner.SetWorkers(options_.host_threads)
-      .SetMode(wload::ParallelRunner::Mode::kLockstep)
-      .SetObservers(options_.trace_sink, options_.metrics, options_.sampler, options_.profiler);
+  runner.SetObservers(options_.trace_sink, options_.metrics, options_.sampler,
+                      options_.profiler);
   const wload::RunResult run = runner.Run(max_windows_per_thread, window_op).run;
 
   result.records = records_done_;

@@ -8,8 +8,10 @@
 //     window hits max_window_ops. One window lowers to one OpBatch.
 //   - Tenants are sharded across simulated threads (tenant % num_threads);
 //     each thread replays its windows in trace order on wload::ParallelRunner's
-//     discrete-event schedule, so multi-tenant contention is modeled the same
-//     way the wload harnesses model it.
+//     one-worker discrete-event schedule, so multi-tenant contention is
+//     modeled the same way the wload harnesses model it. Replay never runs
+//     sharded: window lowering mutates per-tenant state that is not
+//     shard-pure.
 //   - think_ticks * tick_ns of simulated idle time is charged on the thread
 //     clock BEFORE the window executes; per-request service latency is the
 //     clock delta across the window (think excluded) and lands in the owning
@@ -55,13 +57,6 @@ struct ReplayOptions {
   // leave SimMutex watermarks behind; anchoring past them avoids
   // double-counting).
   uint64_t base_ns = 0;
-  // Host worker threads driving the replay, as lockstep wload::ParallelRunner
-  // workers: the schedule (and so every modeled output and the shared slot
-  // tables the windows mutate) stays bit-identical to one worker's, the
-  // baton's release/acquire edges making the shared captures race-free.
-  // Replay is always lockstep — window lowering mutates per-tenant state that
-  // is not shard-pure.
-  uint32_t host_threads = 1;
   // Observability sinks propagated into every replay thread (null = off).
   obs::TraceBuffer* trace_sink = nullptr;
   obs::MetricsRegistry* metrics = nullptr;
@@ -111,8 +106,8 @@ class TraceReplayer : public obs::GaugeProvider {
  private:
   vfs::FileSystem* fs_;
   ReplayOptions options_;
-  // Progress counters for SampleGauges. Plain fields: the lockstep runner
-  // executes one window at a time, its baton ordering each after the last.
+  // Progress counters for SampleGauges. Plain fields: replay runs on the
+  // runner's one-worker schedule, one window at a time on one host thread.
   uint64_t records_done_ = 0;
   uint64_t windows_done_ = 0;
   uint64_t errors_ = 0;

@@ -123,14 +123,14 @@ struct FreeSpaceInfo {
 };
 
 // How a filesystem may be driven by host-parallel workers (src/wload/
-// parallel_runner.h). kLockstep: workers hand a baton around in exact scalar
-// discrete-event order — always safe, exposes no host parallelism inside the
-// FS (the honest model for global-journal designs, where jbd2-style commits
-// serialize everything anyway). kSharded: per-CPU internal structures are
-// host-safe under the shard-purity contract, so workers free-run over
-// disjoint CPU shards and genuinely contend the per-CPU journals/allocators.
+// parallel_runner.h). kSerial: one worker runs every op in discrete-event
+// order, however many workers a caller asks for — the only safe choice for
+// shared internal state such as a global journal. kSharded: per-CPU internal
+// structures are host-safe under the shard-purity contract, so workers
+// free-run over disjoint simulated threads and genuinely contend the per-CPU
+// journals/allocators.
 enum class ParallelPolicy {
-  kLockstep,
+  kSerial,
   kSharded,
 };
 
@@ -152,9 +152,9 @@ class FileSystem : public vmem::FaultHandler, public obs::GaugeProvider {
 
   virtual std::string_view Name() const = 0;
   virtual GuaranteeMode guarantee_mode() const = 0;
-  // Host-parallel driving mode this implementation supports. Default is the
-  // always-safe lockstep; per-CPU-journal designs (WineFS, NOVA) override.
-  virtual ParallelPolicy parallel_policy() const { return ParallelPolicy::kLockstep; }
+  // Host-parallel driving mode this implementation supports. Default is
+  // serial; per-CPU-journal designs (WineFS, NOVA) override.
+  virtual ParallelPolicy parallel_policy() const { return ParallelPolicy::kSerial; }
 
   // --- Lifecycle ---------------------------------------------------------
   virtual common::Status Mkfs(common::ExecContext& ctx) = 0;

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
+#include <string_view>
 
-#include "src/common/prof_zone.h"
+#include "src/common/prof.h"
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 
 namespace vmem {
@@ -27,6 +29,10 @@ constexpr uint64_t kStlbHitNs = 5;
 // hints. On 512-op batches over a 16 MiB mapping, 4 to 16 measured alike and
 // 32 slightly worse.
 constexpr size_t kLineLookahead = 8;
+
+// Mapped calls are not any one filesystem's syscalls; their op scopes record
+// under this name.
+constexpr std::string_view kScopeFs = "vmem";
 
 // True when the 8 bytes a line op moves at `offset` stay inside its 64 B line.
 bool InOneLine(uint64_t offset) {
@@ -255,7 +261,7 @@ Result<uint64_t> MappedFile::TranslateMiss(ExecContext& ctx, uint64_t offset, bo
 }
 
 Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uint64_t len) {
-  common::ProfileZone zone(ctx, common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, kScopeFs, "mmap_write", common::ProfLayer::kMmu);
   if (offset + len > length_) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -297,16 +303,11 @@ Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uin
     cursor += run;
     len -= run;
   }
-  // Mapped access bypasses syscalls (and their OpScope sampling hook), so
-  // mmap-heavy phases drive the periodic gauge sampler from here.
-  if (ctx.sampler != nullptr) {
-    ctx.sampler->MaybeSample(ctx);
-  }
   return common::OkStatus();
 }
 
 Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t len) {
-  common::ProfileZone zone(ctx, common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, kScopeFs, "mmap_read", common::ProfLayer::kMmu);
   if (offset + len > length_) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -341,14 +342,12 @@ Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t l
     cursor += run;
     len -= run;
   }
-  if (ctx.sampler != nullptr) {
-    ctx.sampler->MaybeSample(ctx);
-  }
   return common::OkStatus();
 }
 
 Status MappedFile::LineAccess(ExecContext& ctx, uint64_t offset, bool write, void* data,
                               uint64_t* latency_ns_out) {
+  obs::OpScope op_scope(ctx, kScopeFs, "mmap_lines", common::ProfLayer::kMmu);
   if (!InOneLine(offset)) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -368,9 +367,6 @@ Status MappedFile::LineAccess(ExecContext& ctx, uint64_t offset, bool write, voi
       std::memcpy(data, engine_->device().raw_span(*phys, 8), 8);
     }
     ctx.counters.pm_read_bytes += kCacheline;
-  }
-  if (ctx.sampler != nullptr) {
-    ctx.sampler->MaybeSample(ctx);
   }
   if (latency_ns_out != nullptr) {
     *latency_ns_out = ctx.clock.NowNs() - start;
@@ -433,6 +429,7 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
   // modeled, HintLine prefetches both for op i + kLineLookahead. Op 0 gets
   // no hint, since it is modeled at once and a hint could not land in time;
   // so a one-op batch issues none.
+  obs::OpScope op_scope(ctx, kScopeFs, "mmap_lines", common::ProfLayer::kMmu);
   MmapEngine::CpuState& cpu_state = engine_->cpu(ctx);
   Tlb& tlb = cpu_state.tlb;
   LlcCache& llc = cpu_state.llc;
@@ -518,7 +515,7 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
 }
 
 Status MappedFile::Prefault(ExecContext& ctx, bool write) {
-  common::ProfileZone zone(ctx, common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, kScopeFs, "mmap_prefault", common::ProfLayer::kMmu);
   uint64_t offset = 0;
   while (offset < length_) {
     auto phys = TranslateByte(ctx, offset, write, nullptr);

@@ -58,6 +58,9 @@ struct LineOp {
 };
 
 // One mmap'd file region. All accesses go through the cost-accounted APIs.
+// Each public data-path call ends as one op of its own for the attached
+// observers (obs::OpScope, root zone mmu): mmap_write, mmap_read, mmap_lines
+// (LoadLine, StoreLine, AccessLines) and mmap_prefault.
 class MappedFile {
  public:
   ~MappedFile();

@@ -37,13 +37,11 @@ struct StressRng {
   }
 };
 
-// The discrete-event candidate inside one shard: the runnable thread with the
-// smallest (clock, tid), i.e. exactly the one-worker pick restricted to the
-// shard. Returns nullptr when the whole shard is done.
-ThreadState* ShardBest(std::vector<ThreadState>& threads, uint32_t lo, uint32_t hi,
-                       uint32_t* best_tid) {
+// The discrete-event pick: the runnable thread with the smallest (clock,
+// tid). Returns nullptr when every thread is done.
+ThreadState* NextThread(std::vector<ThreadState>& threads, uint32_t* best_tid) {
   ThreadState* best = nullptr;
-  for (uint32_t t = lo; t < hi; t++) {
+  for (uint32_t t = 0; t < threads.size(); t++) {
     if (!threads[t].done &&
         (best == nullptr || threads[t].ctx.clock.NowNs() < best->ctx.clock.NowNs())) {
       best = &threads[t];
@@ -82,37 +80,29 @@ void SpreadWorker(uint32_t w) {
 #endif
 }
 
-// Runs one scheduler pick: up to `batch` ops of `ts`. Returns ops executed.
-uint64_t RunBatch(ThreadState& ts, uint32_t tid, uint64_t ops_per_thread,
-                  const ParallelRunner::OpFn& op, uint32_t batch) {
-  uint64_t executed = 0;
-  for (uint32_t b = 0; b < batch && !ts.done; b++) {
-    if (ts.next_op >= ops_per_thread || !op(tid, ts.next_op, ts.ctx)) {
-      ts.done = true;
-      break;
-    }
-    ts.next_op++;
-    executed++;
+// Runs the next op of `ts`; a thread with no op left, or whose op returns
+// false, is done.
+void Step(ThreadState& ts, uint32_t tid, uint64_t ops_per_thread,
+          const ParallelRunner::OpFn& op) {
+  if (ts.next_op >= ops_per_thread || !op(tid, ts.next_op, ts.ctx)) {
+    ts.done = true;
+    return;
   }
-  return executed;
+  ts.next_op++;
 }
 
 }  // namespace
 
-ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
-                                   uint32_t batch) const {
+ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op) const {
   ParallelResult out;
-  const uint32_t workers =
-      std::min(std::max<uint32_t>(workers_, 1), std::max<uint32_t>(num_threads_, 1));
+  const uint32_t workers = std::min(workers_, std::max<uint32_t>(num_threads_, 1));
   out.workers = workers;
-  out.lockstep = mode_ == Mode::kLockstep;
 
   common::HazardSink hazards;
 
-  // Observers are only safe when ops execute in a sequential-equivalent
-  // order: one worker, or the lockstep baton (which serializes with
-  // happens-before). Free-running shards drop them.
-  const bool attach_observers = workers == 1 || mode_ == Mode::kLockstep;
+  // Observers are only safe when ops execute one at a time on one host
+  // thread; free-running shards drop them.
+  const bool attach_observers = workers == 1;
 
   std::vector<ThreadState> threads;
   threads.reserve(num_threads_);
@@ -131,12 +121,6 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
     }
   }
 
-  // Lockstep workers own contiguous tid shards: worker w owns
-  // [w*T/W, (w+1)*T/W).
-  auto shard_lo = [&](uint32_t w) {
-    return static_cast<uint32_t>(static_cast<uint64_t>(w) * num_threads_ / workers);
-  };
-
   const auto host_start = std::chrono::steady_clock::now();
 
   if (workers == 1) {
@@ -144,48 +128,9 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
     // clock. This keeps SimMutex watermark jumps bounded by actual critical-
     // section durations — running a leading thread's future before a lagging
     // thread's past would serialize everything through shared locks.
-    while (true) {
-      uint32_t tid = 0;
-      ThreadState* best = ShardBest(threads, 0, num_threads_, &tid);
-      if (best == nullptr) {
-        break;
-      }
-      RunBatch(*best, tid, ops_per_thread, op, batch);
-    }
-  } else if (mode_ == Mode::kLockstep) {
-    common::LockstepGate gate(workers);
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (uint32_t w = 0; w < workers; w++) {
-      pool.emplace_back([&, w]() {
-        StressRng rng(stress_seed_ + 0x9e3779b97f4a7c15ull * (w + 1));
-        const uint32_t lo = shard_lo(w);
-        const uint32_t hi = shard_lo(w + 1);
-        while (true) {
-          uint32_t tid = 0;
-          ThreadState* best = ShardBest(threads, lo, hi, &tid);
-          const uint64_t key =
-              best == nullptr
-                  ? common::kScheduleKeyDone
-                  : common::PackScheduleKey(best->ctx.clock.NowNs(), tid);
-          gate.Publish(w, key);
-          if (best == nullptr) {
-            return;
-          }
-          if (stress_ && (rng.Next() & 7) == 0) {
-            std::this_thread::yield();
-          }
-          // Blocks until `key` is the strict global minimum: this pick is
-          // exactly the pick the one-worker scan would make. The
-          // release-store in Publish / acquire-loads in AwaitTurn carry a
-          // happens-before edge from every earlier op to this one.
-          gate.AwaitTurn(w, key);
-          RunBatch(*best, tid, ops_per_thread, op, batch);
-        }
-      });
-    }
-    for (auto& th : pool) {
-      th.join();
+    uint32_t tid = 0;
+    while (ThreadState* best = NextThread(threads, &tid)) {
+      Step(*best, tid, ops_per_thread, op);
     }
   } else {
     // Sharded free-run: each worker claims the next unclaimed simulated
@@ -207,7 +152,7 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op,
             if (stress_ && (rng.Next() & 7) == 0) {
               std::this_thread::yield();
             }
-            RunBatch(ts, tid, ops_per_thread, op, batch);
+            Step(ts, tid, ops_per_thread, op);
           }
         }
       });

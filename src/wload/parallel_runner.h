@@ -2,35 +2,28 @@
 //
 // Each simulated thread has its own ExecContext/SimClock, and ops run in
 // discrete-event order: always the runnable thread with the smallest
-// simulated clock (ties to the lowest tid), up to `batch` ops per pick.
-// Because the per-thread clocks advance in near-lockstep, SimMutex/
-// ResourceClock queueing reproduces contention the way truly concurrent
-// threads would experience it. Aggregate throughput is total work / max
-// per-thread simulated end time.
+// simulated clock (ties to the lowest tid). Because the per-thread clocks
+// advance together, SimMutex/ResourceClock queueing reproduces contention the
+// way truly concurrent threads would experience it. Aggregate throughput is
+// total work / max per-thread simulated end time.
 //
-// By default one host thread runs that schedule. More host workers
-// (SetWorkers) drive disjoint parts of the simulated thread set, with a
-// deterministic merge that keeps every modeled output (PerfCounters,
-// wall_ns, namespace state) bit-identical to the one-worker schedule. Two
-// modes, selected from the filesystem's ParallelPolicy:
+// Two schedules:
 //
-//  * kLockstep — a turnstile (LockstepGate) reproduces the one-worker
-//    discrete-event order: every worker publishes the (clock, tid) key of its
-//    next candidate op and only the holder of the strict global minimum
-//    executes. The release/acquire baton makes every op's writes visible to
-//    the next op's worker, so arbitrary shared FS state is race-free without
-//    any FS changes. Always safe; exposes no host parallelism inside the FS —
-//    the honest model for global-journal designs.
+//  * One worker (the default): the calling thread runs that discrete-event
+//    order. It is the exact reference, every filesystem supports it, and it
+//    is the only schedule that attaches observers.
 //
-//  * kSharded — workers free-run concurrently, each claiming the next
-//    unstarted simulated thread and running it to completion, genuinely
-//    contending the per-CPU journals/allocator pools of WineFS and NOVA.
-//    Bit-identity holds under the shard-purity contract: per-thread namespace
-//    subtrees, one simulated CPU per thread (cpus == threads) so per-CPU
-//    structures and VFS lock domains are disjoint, and order-insensitive
-//    SharedResource window ledgers. Contract violations (cross-pool steals,
-//    NUMA re-homing) are counted through ExecContext::hazards rather than
-//    silently risking divergence.
+//  * Sharded free-run: SetWorkers(n, fs) with n > 1 on a filesystem whose
+//    ParallelPolicy is kSharded (WineFS, NOVA). Workers run concurrently,
+//    each claiming the next unstarted simulated thread and running it to
+//    completion, genuinely contending the per-CPU journals/allocator pools.
+//    Modeled outputs (PerfCounters, wall_ns, namespace state) stay
+//    bit-identical to one worker's under the shard-purity contract:
+//    per-thread namespace subtrees, one simulated CPU per thread (cpus ==
+//    threads) so per-CPU structures and VFS lock domains are disjoint, and
+//    order-insensitive SharedResource window ledgers. Contract violations
+//    (cross-pool steals, NUMA re-homing) are counted through
+//    ExecContext::hazards rather than silently risking divergence.
 #ifndef SRC_WLOAD_PARALLEL_RUNNER_H_
 #define SRC_WLOAD_PARALLEL_RUNNER_H_
 
@@ -68,7 +61,6 @@ struct ParallelResult {
   uint64_t host_wall_ns = 0;       // wall-clock of the parallel section
   uint64_t hazards = 0;            // shard-purity violations noted by the FS
   uint32_t workers = 1;            // host worker threads actually used
-  bool lockstep = true;            // mode the run executed under
 };
 
 class ParallelRunner {
@@ -77,41 +69,32 @@ class ParallelRunner {
   // that thread early.
   using OpFn = std::function<bool(uint32_t tid, uint64_t op_index, common::ExecContext& ctx)>;
 
-  enum class Mode { kLockstep, kSharded };
-
-  static Mode ModeFor(const vfs::FileSystem& fs) {
-    return fs.parallel_policy() == vfs::ParallelPolicy::kSharded ? Mode::kSharded
-                                                                 : Mode::kLockstep;
-  }
-
   // `base_ns` anchors the simulated timeline: worker clocks start there so
   // SimMutex watermarks left by setup phases are not double-counted, and
   // wall_ns is reported relative to it.
   ParallelRunner(uint32_t num_threads, uint32_t num_cpus, uint64_t base_ns = 0)
       : num_threads_(num_threads), num_cpus_(num_cpus), base_ns_(base_ns) {}
 
-  ParallelRunner& SetWorkers(uint32_t host_workers) {
-    workers_ = host_workers == 0 ? 1 : host_workers;
+  // Host workers for a run on `fs`: up to `host_workers` when fs's policy is
+  // kSharded, otherwise one.
+  ParallelRunner& SetWorkers(uint32_t host_workers, const vfs::FileSystem& fs) {
+    workers_ = fs.parallel_policy() == vfs::ParallelPolicy::kSharded && host_workers > 1
+                   ? host_workers
+                   : 1;
     return *this;
   }
-  ParallelRunner& SetMode(Mode mode) {
-    mode_ = mode;
-    return *this;
-  }
-  // Torn-schedule stress: workers inject pseudo-random host yields (seeded,
-  // per-worker) so TSan explores adversarial interleavings. Modeled outputs
-  // must not change — that is the point of the test that uses it.
+  // Torn-schedule stress: sharded workers inject pseudo-random host yields
+  // (seeded, per-worker) so TSan explores adversarial interleavings. Modeled
+  // outputs must not change — that is the point of the test that uses it.
   ParallelRunner& SetStressYields(uint64_t seed) {
     stress_seed_ = seed;
     stress_ = true;
     return *this;
   }
   // Observability sinks propagated into every simulated thread's ExecContext
-  // (null disables collection; not owned, must outlive Run()). Honored when
-  // the schedule is sequential-equivalent (workers == 1 or lockstep mode).
-  // Free-running sharded workers would race on the shared buffers, so
-  // observers are dropped there; benches attach observers only on
-  // non-parallel rows.
+  // (null disables collection; not owned, must outlive Run()). Attached only
+  // by the one-worker schedule: sharded workers would race on the shared
+  // buffers, so they run without sinks.
   ParallelRunner& SetObservers(obs::TraceBuffer* trace, obs::MetricsRegistry* metrics,
                                obs::TimeSeriesSampler* sampler = nullptr,
                                obs::Profiler* profiler = nullptr) {
@@ -122,14 +105,13 @@ class ParallelRunner {
     return *this;
   }
 
-  ParallelResult Run(uint64_t ops_per_thread, const OpFn& op, uint32_t batch = 1) const;
+  ParallelResult Run(uint64_t ops_per_thread, const OpFn& op) const;
 
  private:
   uint32_t num_threads_;
   uint32_t num_cpus_;
   uint64_t base_ns_;
   uint32_t workers_ = 1;
-  Mode mode_ = Mode::kLockstep;
   bool stress_ = false;
   uint64_t stress_seed_ = 0;
   obs::TraceBuffer* trace_ = nullptr;

@@ -1,17 +1,18 @@
-// Deterministic-merge contract of wload::ParallelRunner: for every stock
-// filesystem, a run fanned across {1, 2, 8} host worker threads must produce
-// modeled outputs (total_ops, wall_ns, every PerfCounters field) bit-identical
-// to a separate one-worker run on a fresh bed, and the logical post-run
-// filesystem state (namespace + sizes + bytes, remounted through the normal
-// recovery path) must hash identically. Host-side values (host_wall_ns,
-// hazard counts) are deliberately NOT compared — they describe the machine,
-// not the model.
+// Deterministic-merge contract of wload::ParallelRunner: for each sharded
+// filesystem (WineFS, NOVA), a run fanned across {2, 8} host worker threads
+// must produce modeled outputs (total_ops, wall_ns, every PerfCounters field)
+// bit-identical to a separate one-worker run on a fresh bed, and the logical
+// post-run filesystem state (namespace + sizes + bytes, remounted through the
+// normal recovery path) must hash identically. Every other stock filesystem
+// asked for 8 workers runs on one and reproduces the one-worker run.
+// Host-side values (host_wall_ns, hazard counts) are deliberately NOT
+// compared — they describe the machine, not the model.
 //
 // The torn-schedule case re-runs the sharded filesystems with pseudo-random
-// host yields injected between scheduler picks, so a TSan build explores
-// adversarial interleavings; modeled outputs must still not move. The
-// campaign case fans the crash-exploration campaign across host workers and
-// requires order-independent totals plus identical recovered-state hash sets.
+// host yields injected between ops, so a TSan build explores adversarial
+// interleavings; modeled outputs must still not move. The campaign case fans
+// the crash-exploration campaign across host workers and requires
+// order-independent totals plus identical recovered-state hash sets.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -33,6 +34,8 @@ constexpr uint32_t kThreads = 8;    // cpus == threads: the sharded geometry
 constexpr uint64_t kOps = 30;
 
 const char* kStockFs[] = {"ext4-dax", "xfs-dax", "pmfs", "splitfs", "winefs", "nova"};
+const char* kShardedFs[] = {"winefs", "nova"};
+const char* kSerialFs[] = {"ext4-dax", "xfs-dax", "pmfs", "splitfs"};
 
 wload::Bed MakeParallelBed(const std::string& fs_name) {
   wload::BedSpec spec;
@@ -139,17 +142,20 @@ uint64_t RecoveredStateHash(wload::Bed& bed) {
 struct Outcome {
   wload::RunResult run;
   uint64_t state_hash = 0;
+  uint32_t workers = 0;  // host workers the runner actually used
 };
 
 Outcome RunParallel(const std::string& fs_name, uint32_t workers, bool stress) {
   wload::Bed bed = MakeParallelBed(fs_name);
   wload::ParallelRunner runner(kThreads, kThreads, bed.setup.clock.NowNs());
-  runner.SetWorkers(workers).SetMode(wload::ParallelRunner::ModeFor(*bed.fs));
+  runner.SetWorkers(workers, *bed.fs);
   if (stress) {
     runner.SetStressYields(0x7ea5ull * workers);
   }
   Outcome out;
-  out.run = runner.Run(kOps, MakeOp(bed.fs.get())).run;
+  const wload::ParallelResult par = runner.Run(kOps, MakeOp(bed.fs.get()));
+  out.run = par.run;
+  out.workers = par.workers;
   out.state_hash = RecoveredStateHash(bed);
   return out;
 }
@@ -174,21 +180,32 @@ TEST(ParallelPolicy, PerCpuFilesystemsDeclareSharded) {
 }
 
 TEST(ParallelDeterminism, BitIdenticalAcrossWorkerCounts) {
-  for (const char* fs_name : kStockFs) {
+  for (const char* fs_name : kShardedFs) {
     const Outcome one = RunParallel(fs_name, 1, /*stress=*/false);
     EXPECT_EQ(one.run.total_ops, uint64_t{kThreads * kOps}) << fs_name;
-    for (uint32_t workers : {1u, 2u, 8u}) {
+    EXPECT_EQ(one.workers, 1u) << fs_name;
+    for (uint32_t workers : {2u, 8u}) {
       const Outcome par = RunParallel(fs_name, workers, /*stress=*/false);
+      EXPECT_EQ(par.workers, workers) << fs_name;
       ExpectIdentical(std::string(fs_name) + " w=" + std::to_string(workers), par, one);
     }
   }
 }
 
+TEST(ParallelDeterminism, SerialFilesystemsRunOnOneWorker) {
+  for (const char* fs_name : kSerialFs) {
+    const Outcome one = RunParallel(fs_name, 1, /*stress=*/false);
+    EXPECT_EQ(one.run.total_ops, uint64_t{kThreads * kOps}) << fs_name;
+    const Outcome asked = RunParallel(fs_name, 8, /*stress=*/false);
+    EXPECT_EQ(asked.workers, 1u) << fs_name;
+    ExpectIdentical(std::string(fs_name) + " asked for 8 workers", asked, one);
+  }
+}
+
 TEST(ParallelDeterminism, TornScheduleStressDoesNotMoveModeledOutputs) {
-  // Sharded filesystems genuinely free-run here; the lockstep ext4-dax row
-  // exercises the turnstile under the same yield storm. Under TSan this is
+  // The sharded filesystems free-run under a yield storm. Under TSan this is
   // the race hunt; under a plain build it still proves schedule independence.
-  for (const char* fs_name : {"winefs", "nova", "ext4-dax"}) {
+  for (const char* fs_name : kShardedFs) {
     const Outcome one = RunParallel(fs_name, 1, /*stress=*/false);
     for (uint32_t workers : {2u, 8u}) {
       const Outcome par = RunParallel(fs_name, workers, /*stress=*/true);

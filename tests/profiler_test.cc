@@ -6,6 +6,8 @@
 // any counter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/vfs/op_batch.h"
+#include "src/vmem/mmap_engine.h"
 #include "src/wload/parallel_runner.h"
 
 namespace {
@@ -209,6 +212,75 @@ TEST(ProfilerZones, DecodeZonePath) {
   EXPECT_EQ(obs::DecodeZonePath((((vfs << 3) | journal) << 3) | device),
             "vfs;journal;device");
   EXPECT_EQ(obs::DecodeZonePath(0), "");
+}
+
+// A mapped call is an op of its own: the modeled time of its mmu zone and of
+// its faults' allocator and device zones is attributed to it when it ends,
+// not carried into the next syscall's op. ext4-DAX faults the sparse 4 MiB
+// mapping 4 KiB at a time, so the write collects all three layers; each stat
+// after a mapped call must be attributed exactly its own modeled time.
+TEST(ProfilerZones, MappedCallEndsItsOwnOp) {
+  pmem::PmemDevice dev(64 * kMiB);
+  auto fs = fsreg::Create("ext4-dax", &dev, 1);
+  ExecContext ctx;
+  ASSERT_TRUE(fs->Mkfs(ctx).ok());
+  auto fd = fs->Open(ctx, "/m", vfs::OpenFlags::Create());
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(fs->Ftruncate(ctx, *fd, 4 * kMiB).ok());
+  auto ino = fs->InodeOf(ctx, *fd);
+  ASSERT_TRUE(ino.ok());
+  ASSERT_TRUE(fs->Close(ctx, *fd).ok());
+  vmem::MmapEngine engine(&dev, vmem::MmuParams{}, 1);
+  auto map = engine.Mmap(fs.get(), *ino, 4 * kMiB, /*writable=*/true);
+
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ctx.AttachProfiler(&profiler);
+  std::vector<uint8_t> data(4 * kMiB, 0x6b);
+  std::vector<vmem::LineOp> lines(64);
+  for (size_t i = 0; i < lines.size(); i++) {
+    lines[i].offset = i * 64 * 1024;
+  }
+  // Modeled ns of each finished call, in call order.
+  std::vector<uint64_t> took;
+  auto timed = [&](auto&& call) {
+    const uint64_t start = ctx.clock.NowNs();
+    ASSERT_TRUE(call());
+    took.push_back(ctx.clock.NowNs() - start);
+  };
+  auto stat = [&] { return fs->Stat(ctx, "/m").ok(); };
+  timed([&] { return map->Write(ctx, 0, data.data(), data.size()).ok(); });
+  timed(stat);
+  timed([&] { return map->Read(ctx, 0, data.data(), data.size()).ok(); });
+  timed(stat);
+  timed([&] { return map->AccessLines(ctx, lines.data(), lines.size(), false).ok(); });
+  timed(stat);
+  ASSERT_EQ(took.size(), 6u);
+
+  std::map<std::string, obs::Profiler::OpAttribution> by_op;
+  for (obs::Profiler::OpAttribution& op : profiler.Attribution()) {
+    by_op[op.op] = std::move(op);
+  }
+  auto layer_ns = [&](const std::string& op, common::ProfLayer layer) {
+    return by_op[op].layers[static_cast<size_t>(layer)].MaxNanos();
+  };
+  // The three stats together are attributed exactly their own time.
+  const common::LatencyHistogram& stats = by_op["stat"].total;
+  const std::vector<uint64_t> stat_ns{took[1], took[3], took[5]};
+  EXPECT_EQ(by_op["stat"].ops_sampled, 3u);
+  EXPECT_EQ(stats.MinNanos(), *std::min_element(stat_ns.begin(), stat_ns.end()));
+  EXPECT_EQ(stats.MaxNanos(), *std::max_element(stat_ns.begin(), stat_ns.end()));
+  EXPECT_DOUBLE_EQ(stats.MeanNanos() * 3, static_cast<double>(took[1] + took[3] + took[5]));
+
+  // Each mapped call is attributed exactly its own time.
+  EXPECT_EQ(by_op["mmap_write"].ops_sampled, 1u);
+  EXPECT_EQ(by_op["mmap_write"].total.MaxNanos(), took[0]);
+  EXPECT_GT(layer_ns("mmap_write", common::ProfLayer::kMmu), 0u);
+  EXPECT_GT(layer_ns("mmap_write", common::ProfLayer::kAllocator), 0u);
+  EXPECT_GT(layer_ns("mmap_write", common::ProfLayer::kDevice), 0u);
+  EXPECT_EQ(by_op["mmap_read"].ops_sampled, 1u);
+  EXPECT_EQ(by_op["mmap_read"].total.MaxNanos(), took[2]);
+  EXPECT_EQ(by_op["mmap_lines"].ops_sampled, 1u);
+  EXPECT_EQ(by_op["mmap_lines"].total.MaxNanos(), took[4]);
 }
 
 // Per-op sampling: AttachProfiler mirrors the profiler's mask into the

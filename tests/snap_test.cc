@@ -4,6 +4,7 @@
 // is unsound without it), remount-from-image across the whole filesystem
 // lineup, and crashmk snapshot archiving.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -435,6 +436,63 @@ snap::ImageKey TestKey(const std::string& fs_name, uint64_t device_bytes) {
   key.churn = 1.0;
   key.detail = "snap_test";
   return key;
+}
+
+// Runs the snapctl binary's `verify` on `dir`: its exit status, with its
+// stdout in `out`.
+int RunSnapctlVerify(const std::string& dir, std::string* out) {
+  const std::string command = std::string(SNAPCTL_PATH) + " verify '" + dir + "'";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return -1;
+  }
+  out->clear();
+  char buf[256];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) {
+    *out += buf;
+  }
+  const int status = pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+// An image of another format version is stale, not damaged: verify names it,
+// says how to reclaim it, and passes. A damaged current-format image still
+// fails verify. Crash-state images, so no fsck judges the scribbled bytes.
+TEST(SnapctlVerify, StaleFormatIsListedAndDamageFails) {
+  const std::string dir = TempPath("verify_stale");
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  pmem::PmemDevice dev(4 * kMiB);
+  ScribbleDevice(dev);
+  auto save_and_patch = [&](const std::string& path, uint64_t offset, uint8_t value) {
+    ASSERT_TRUE(
+        snap::SaveImage(path, dev.Snapshot(), snap::ImageKind::kCrashState, "test;verify").ok());
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(static_cast<std::streamoff>(offset));
+    f.write(reinterpret_cast<const char*>(&value), 1);
+  };
+
+  // format_version lives right after the 8-byte magic.
+  const std::string stale = dir + "/stale.snap";
+  ASSERT_NO_FATAL_FAILURE(save_and_patch(stale, 8, snap::kSnapFormatVersion - 1));
+  ASSERT_EQ(snap::ReadImageInfo(stale).status().code(), ErrorCode::kNotSupported);
+  std::string out;
+  EXPECT_EQ(RunSnapctlVerify(dir, &out), 0) << out;
+  EXPECT_NE(out.find("STALE " + stale), std::string::npos) << out;
+  EXPECT_NE(out.find("format v" + std::to_string(snap::kSnapFormatVersion - 1)),
+            std::string::npos)
+      << out;
+  EXPECT_NE(out.find("run snapctl gc"), std::string::npos) << out;
+
+  const std::string damaged = dir + "/damaged.snap";
+  ASSERT_NO_FATAL_FAILURE(
+      save_and_patch(damaged, std::filesystem::file_size(stale) - 1, 0xfe));
+  EXPECT_EQ(snap::LoadImage(damaged).status().code(), ErrorCode::kCorrupt);
+  EXPECT_NE(RunSnapctlVerify(dir, &out), 0) << out;
+  EXPECT_NE(out.find("FAIL " + damaged), std::string::npos) << out;
+  EXPECT_NE(out.find("STALE " + stale), std::string::npos) << out;
+  std::filesystem::remove_all(dir);
 }
 
 // A real (small) filesystem image the corpus can fsck-validate.

@@ -6,10 +6,6 @@
 //
 //   benchrun -j 4 -l build/bench/logs "bench/fig04_tlb_cdf" "bench/fig07_fio"
 //
-// --host-threads N exports WINEFS_HOST_THREADS=N to every child, so benches
-// that honor the env (scenarios, trace replays) run their replay loops on N
-// host workers without each command growing its own flag plumbing.
-//
 // Exit status is 0 when every command passed; otherwise the highest non-zero
 // per-command exit code (clamped to 255), so a caller sees the worst
 // underlying failure instead of a bare failure count.
@@ -121,7 +117,6 @@ void ReapOne(std::vector<Job>& jobs, size_t* running) {
 int main(int argc, char** argv) {
   unsigned jobs_limit = std::max(1u, std::thread::hardware_concurrency());
   std::string log_dir = "benchrun-logs";
-  int host_threads = 0;
   std::vector<std::string> commands;
   for (int i = 1; i < argc; i++) {
     const std::string arg = argv[i];
@@ -129,11 +124,8 @@ int main(int argc, char** argv) {
       jobs_limit = std::max(1, std::atoi(argv[++i]));
     } else if (arg == "-l" && i + 1 < argc) {
       log_dir = argv[++i];
-    } else if (arg == "--host-threads" && i + 1 < argc) {
-      host_threads = std::max(1, std::atoi(argv[++i]));
     } else if (arg == "-h" || arg == "--help") {
-      std::printf(
-          "usage: benchrun [-j N] [-l logdir] [--host-threads N] \"cmd\" [\"cmd\" ...]\n");
+      std::printf("usage: benchrun [-j N] [-l logdir] \"cmd\" [\"cmd\" ...]\n");
       return 0;
     } else {
       commands.push_back(arg);
@@ -142,11 +134,6 @@ int main(int argc, char** argv) {
   if (commands.empty()) {
     std::fprintf(stderr, "benchrun: no commands given (see --help)\n");
     return 2;
-  }
-  if (host_threads > 0) {
-    // Children inherit the environment across fork/exec; benches read this
-    // through benchutil::HostThreadsFromEnv().
-    ::setenv("WINEFS_HOST_THREADS", std::to_string(host_threads).c_str(), 1);
   }
   if (::mkdir(log_dir.c_str(), 0755) != 0 && errno != EEXIST) {
     std::fprintf(stderr, "benchrun: cannot create %s: %s\n", log_dir.c_str(),
