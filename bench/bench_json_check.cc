@@ -1,18 +1,20 @@
 // Standalone validator for bench artifacts. Modes:
 //   bench_json_check BENCH_<name>.json
 //       schema v4 validation of the report (obs::kBenchSchemaVersion).
-//   bench_json_check BENCH_<name>.json --require-spans
-//       additionally requires every result row to carry nonzero
-//       fault_handling and data_copy span totals — the trace-derived Figure 2
-//       breakdown.
+//   bench_json_check BENCH_<name>.json --require-attribution <layer>...
+//       additionally requires every result row to carry a profiler
+//       attribution section with nonzero modeled time, summed over its ops,
+//       in each named layer (vfs, fscore, journal, allocator, device, mmu) —
+//       e.g. `device fscore` for the zone-derived Figure 2 copy/fault split.
 //   bench_json_check BENCH_<name>.json --require-timeseries
 //       additionally requires every result row to carry a timeseries section
 //       with at least 10 samples each of aligned_free_fraction and
 //       free_blocks — the aging-observatory trajectories.
 //   bench_json_check --chrome-trace TRACE_<name>.json
-//       structural validation of a Chrome trace-event export: traceEvents
-//       array with complete ("X") events spanning at least 2 categories and
-//       at least 2 CPU tracks (tids).
+//       structural validation of a Chrome trace-event export (the profiler's
+//       zone ring and lock events): traceEvents array with complete ("X")
+//       events spanning at least 2 categories and at least 2 CPU tracks
+//       (tids).
 //   bench_json_check BENCH_<name>.json --require-snap
 //       requires the snapshot-corpus provenance config keys (snap_corpus,
 //       snap_provenance, hit/miss/wall-clock counts) that every aged bench
@@ -67,6 +69,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/obs/json.h"
 #include "src/obs/report.h"
@@ -86,23 +89,30 @@ int Fail(const char* path, const std::string& why) {
 // 0 iff no violation has been recorded.
 int Verdict() { return g_failures == 0 ? 0 : 1; }
 
-// Beyond the schema: every result row must have spans_ns with nonzero
-// fault_handling and data_copy totals (set for benches whose headline numbers
-// are trace-derived, like fig02).
-int CheckSpans(const char* path, const obs::JsonValue& root) {
+// Beyond the schema: every result row must have an attribution section whose
+// ops, together, spent nonzero modeled time in each of `layers` (set for
+// benches whose headline numbers are zone-derived, like fig02).
+int CheckAttribution(const char* path, const obs::JsonValue& root,
+                     const std::vector<std::string>& layers) {
   const obs::JsonValue* results = root.Find("results");
   for (const obs::JsonValue& row : results->array) {
-    const obs::JsonValue* fs = row.Find("fs");
-    const obs::JsonValue* spans = row.Find("spans_ns");
-    if (spans == nullptr || !spans->is_object()) {
-      Fail(path, "result row '" + fs->string_value + "' lacks spans_ns");
+    const std::string& fs = row.Find("fs")->string_value;
+    const obs::JsonValue* attribution = row.Find("attribution");
+    if (attribution == nullptr || !attribution->is_object()) {
+      Fail(path, "result row '" + fs + "' lacks attribution");
       continue;
     }
-    for (const char* cat : {"fault_handling", "data_copy"}) {
-      const obs::JsonValue* ns = spans->Find(cat);
-      if (ns == nullptr || !ns->is_number() || ns->number_value <= 0) {
-        Fail(path, "result row '" + fs->string_value + "' has no " +
-                       std::string(cat) + " span time");
+    for (const std::string& layer : layers) {
+      double ns = 0;
+      for (const auto& [op, entry] : attribution->object) {
+        (void)op;
+        const obs::JsonValue* summary = entry.Find("layers")->Find(layer);
+        if (summary != nullptr) {
+          ns += summary->Find("mean")->number_value * summary->Find("count")->number_value;
+        }
+      }
+      if (!(ns > 0)) {
+        Fail(path, "result row '" + fs + "' attributes no time to layer " + layer);
       }
     }
   }
@@ -195,11 +205,11 @@ int CheckChromeTrace(const char* path, const std::string& text) {
     Fail(path, "no complete (ph=X) events");
   }
   if (cats.size() < 2) {
-    Fail(path, "spans cover " + std::to_string(cats.size()) +
+    Fail(path, "events cover " + std::to_string(cats.size()) +
                    " categories, need >= 2");
   }
   if (tids.size() < 2) {
-    Fail(path, "spans cover " + std::to_string(tids.size()) +
+    Fail(path, "events cover " + std::to_string(tids.size()) +
                    " CPU tracks, need >= 2");
   }
   if (Verdict() != 0) {
@@ -591,7 +601,8 @@ std::string ReadAll(const char* path, bool& ok) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s BENCH_<name>.json [--require-spans | --require-timeseries |\n"
+                 "usage: %s BENCH_<name>.json [--require-attribution <layer>... |\n"
+                 "           --require-timeseries |\n"
                  "           --require-snap | --require-snap-warm |\n"
                  "           --require-contention [min_sites] |\n"
                  "           --require-scenarios [min_tenants]]\n"
@@ -712,8 +723,9 @@ int main(int argc, char** argv) {
     if (!root.ok()) {
       return Fail(argv[1], "parse failed after validation");
     }
-    if (std::strcmp(argv[2], "--require-spans") == 0) {
-      if (int rc = CheckSpans(argv[1], *root); rc != 0) {
+    if (std::strcmp(argv[2], "--require-attribution") == 0) {
+      const std::vector<std::string> layers(argv + 3, argv + argc);
+      if (int rc = CheckAttribution(argv[1], *root, layers); rc != 0) {
         return rc;
       }
     } else if (std::strcmp(argv[2], "--require-timeseries") == 0) {

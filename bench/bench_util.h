@@ -21,7 +21,6 @@
 #include "src/obs/gauges.h"
 #include "src/obs/profiler.h"
 #include "src/obs/report.h"
-#include "src/obs/trace.h"
 #include "src/snap/corpus.h"
 #include "src/vmem/mmap_engine.h"
 #include "src/wload/harness.h"
@@ -88,24 +87,14 @@ inline void AddSnapConfig(obs::BenchReport& report, const snap::Corpus& corpus,
   report.AddConfig("snap_load_wall_ms", static_cast<double>(s.load_wall_ms));
 }
 
-// One filesystem's observability bundle for a bench run: span trace, the
-// periodic gauge sampler, and the contention/attribution profiler. Keep one FsObs per filesystem (or ctx.Reset() between
-// filesystems) so samples never bleed across rows.
+// One filesystem's observability bundle for a bench run: the periodic gauge
+// sampler and the profiler, whose attribution, contention, zone ring and
+// folded stacks feed the report, the Chrome trace and the flame file. Keep
+// one FsObs per filesystem (or ctx.Reset() between filesystems) so samples
+// never bleed across rows.
 struct FsObs {
-  // 4096 retained events per filesystem keeps TRACE_<bench>.json exports a
-  // few MB; category aggregates still cover every span ever recorded.
-  static constexpr size_t kTraceCapacity = 4096;
-
-  obs::TraceBuffer trace;
   obs::TimeSeriesSampler sampler;
   obs::Profiler profiler;
-
-  // Benches whose single trace serves several instrumented threads (e.g. a
-  // background defragmenter plus a foreground reader) pass a larger
-  // `trace_capacity` so one chatty thread cannot evict the others' spans.
-  explicit FsObs(uint64_t sample_period_ns = obs::TimeSeriesSampler::kDefaultPeriodNs,
-                 size_t trace_capacity = kTraceCapacity)
-      : trace(trace_capacity), sampler(sample_period_ns) {}
 };
 
 // Attaches the bundle to a context and registers the bed's gauge providers
@@ -113,19 +102,17 @@ struct FsObs {
 inline void AttachObs(common::ExecContext& ctx, TestBed& bed, FsObs& fs_obs) {
   fs_obs.sampler.AddProvider(bed.fs.get());
   fs_obs.sampler.AddProvider(bed.engine.get());
-  ctx.AttachTrace(&fs_obs.trace);
   ctx.AttachSampler(&fs_obs.sampler);
   ctx.AttachProfiler(&fs_obs.profiler);
 }
 
 inline void DetachObs(common::ExecContext& ctx) {
-  ctx.AttachTrace(nullptr);
   ctx.AttachSampler(nullptr);
   ctx.AttachProfiler(nullptr);
 }
 
 // Ages the bed's filesystem Geriatrix-style with the caller's context, so any
-// attached observability sinks (gauge sampler, trace) see the aging ops.
+// attached observability sinks (gauge sampler, profiler) see the aging ops.
 // Returns false on failure.
 inline bool AgeBedWithContext(TestBed& bed, common::ExecContext& ctx, double utilization,
                               double write_multiplier, uint64_t seed = 42) {
@@ -220,13 +207,12 @@ inline void EmitReport(const obs::BenchReport& report) {
   std::printf("\nresults: %s\n", written->c_str());
 }
 
-// Writes TRACE_<bench>.json (Chrome trace-event format) next to the bench
-// report. Exits non-zero on failure so the trace-check CTest target catches a
-// rotted exporter.
+// Writes TRACE_<bench>.json (Chrome trace-event format) from the profilers'
+// zone rings and lock events, next to the bench report. Exits non-zero on
+// failure so the trace-check CTest target catches a rotted exporter.
 inline void EmitChromeTrace(const std::string& bench_name,
-                            const std::vector<obs::NamedTrace>& traces,
-                            const std::vector<obs::NamedLockTrack>& lock_tracks = {}) {
-  auto written = obs::WriteChromeTrace(bench_name, traces, lock_tracks);
+                            const std::vector<obs::NamedProfiler>& profilers) {
+  auto written = obs::WriteChromeTrace(bench_name, profilers);
   if (!written.ok()) {
     std::fprintf(stderr, "TRACE_%s.json: emit failed: %s\n", bench_name.c_str(),
                  std::string(written.status().message()).c_str());
@@ -238,7 +224,7 @@ inline void EmitChromeTrace(const std::string& bench_name,
 // Writes FLAME_<bench>.txt (flamegraph.pl folded-stack format) from the
 // profilers' collapsed zone stacks. Exits non-zero on write failure.
 inline void EmitFlame(const std::string& bench_name,
-                      const std::vector<obs::NamedLockTrack>& profilers) {
+                      const std::vector<obs::NamedProfiler>& profilers) {
   auto written = obs::WriteCollapsedStacks(bench_name, profilers);
   if (!written.ok()) {
     std::fprintf(stderr, "FLAME_%s.txt: emit failed: %s\n", bench_name.c_str(),

@@ -149,10 +149,9 @@ int main() {
     return 1;
   }
   const ForegroundResult alone = RunForeground(*fixture, false, nullptr);
-  // The foreground reader alone records ~4k data-copy spans; keep enough ring
-  // for the background rewrite's spans (CPU 1) to survive next to them.
-  FsObs contended_obs(obs::TimeSeriesSampler::kDefaultPeriodNs,
-                      /*trace_capacity=*/32768);
+  // The run is a few hundred ops, so the profiler samples every one: its
+  // zone ring then holds both CPUs' tracks for the Chrome trace.
+  FsObs contended_obs{obs::TimeSeriesSampler(), obs::Profiler(/*sample_shift=*/0)};
   const ForegroundResult contended = RunForeground(*fixture, true, &contended_obs);
   Row({"scenario", "fg_MB/s"});
   Row({"no defrag", Fmt(alone.mbps, 0)});
@@ -168,16 +167,14 @@ int main() {
   report.AddMetric("winefs", "fg_slowdown_pct", slowdown_pct);
   report.SetCounters("winefs", contended.counters);
   report.AddTimeSeries("winefs", contended_obs.sampler.series());
-  report.AddSpans("winefs", contended_obs.trace);
   report.AddContention("winefs", contended_obs.profiler);
   report.AddAttribution("winefs", contended_obs.profiler);
   report.AddConfig("top_contended_site", contended_obs.profiler.TopContendedSite());
   benchutil::AddSnapConfig(report, corpus, FixtureKey().Provenance());
   benchutil::EmitReport(report);
-  const std::vector<obs::NamedLockTrack> lock_tracks{
-      obs::NamedLockTrack{"winefs", &contended_obs.profiler}};
-  benchutil::EmitChromeTrace(report.name(),
-                             {obs::NamedTrace{"winefs", &contended_obs.trace}}, lock_tracks);
-  benchutil::EmitFlame(report.name(), lock_tracks);
+  const std::vector<obs::NamedProfiler> profilers{
+      obs::NamedProfiler{"winefs", &contended_obs.profiler}};
+  benchutil::EmitChromeTrace(report.name(), profilers);
+  benchutil::EmitFlame(report.name(), profilers);
   return 0;
 }

@@ -142,9 +142,9 @@ common::Status BuildChain(const std::string& fs_name, double churn, ExecContext&
 
 // The aged sweep (the interesting aging timeline) is instrumented when
 // `obs_out` is non-null: on cold runs the gauge sampler tracks fragmentation
-// as churn progresses and the span trace feeds the Chrome-trace export; warm
-// runs have no aging timeline (that is the point) and record only the
-// measurement spans.
+// as churn progresses and the profiler's zones feed the attribution section
+// and the Chrome-trace export; warm runs have no aging timeline (that is the
+// point) and profile only the measurement.
 void RunSweep(bool aged, snap::Corpus& corpus, obs::BenchReport& report,
               std::deque<std::pair<std::string, FsObs>>* obs_out) {
   const double churn = aged ? 3.0 : 0.0;  // new: fill only; aged: churn 3x/step
@@ -212,7 +212,7 @@ void RunSweep(bool aged, snap::Corpus& corpus, obs::BenchReport& report,
       if (!fs_obs->sampler.series().empty()) {
         report.AddTimeSeries(fs_name, fs_obs->sampler.series());
       }
-      report.AddSpans(fs_name, fs_obs->trace);
+      report.AddAttribution(fs_name, fs_obs->profiler);
     }
   }
 }
@@ -248,10 +248,10 @@ int main() {
               static_cast<unsigned long long>(cs.build_wall_ms),
               static_cast<unsigned long long>(cs.load_wall_ms));
   benchutil::EmitReport(report);
-  std::vector<obs::NamedTrace> traces;
+  std::vector<obs::NamedProfiler> profilers;
   for (const auto& [fs_name, fs_obs] : sweep_obs) {
-    traces.push_back(obs::NamedTrace{fs_name, &fs_obs.trace});
+    profilers.push_back(obs::NamedProfiler{fs_name, &fs_obs.profiler});
   }
-  benchutil::EmitChromeTrace(report.name(), traces);
+  benchutil::EmitChromeTrace(report.name(), profilers);
   return 0;
 }

@@ -1,8 +1,10 @@
 // Figure 2: time to memory-map and write a 2 MiB file, with and without
 // hugepages, broken into data-copy vs page-fault-handling time. With base
 // pages two thirds of the time goes to fault handling; hugepages make the
-// whole operation ~2x faster. The breakdown comes from obs span traces
-// recorded on the simulated timeline, not from dedicated counters.
+// whole operation ~2x faster. The breakdown comes from the profiler's zones
+// on the simulated timeline, not from dedicated counters: the mapped copy is
+// a device zone directly under the write's mmu root, and each fault an
+// fscore zone (the filesystem's handler plus the fixed fault charge).
 #include "bench/bench_util.h"
 
 using benchutil::Fmt;
@@ -21,7 +23,18 @@ struct Breakdown {
   common::PerfCounters counters;
 };
 
-Breakdown MmapAndWrite2MiB(const std::string& fs_name, obs::TraceBuffer& trace) {
+// Modeled ns of the folded stack `stack` plus every stack nested under it.
+uint64_t StackNs(const obs::Profiler& profiler, const std::string& stack) {
+  uint64_t ns = 0;
+  for (const obs::Profiler::FoldedFrame& frame : profiler.FoldedStacks()) {
+    if (frame.stack == stack || frame.stack.rfind(stack + ";", 0) == 0) {
+      ns += frame.ns;
+    }
+  }
+  return ns;
+}
+
+Breakdown MmapAndWrite2MiB(const std::string& fs_name, obs::Profiler& profiler) {
   auto bed = MakeBed(fs_name, 256 * kMiB);
   ExecContext ctx;
   auto fd = bed.fs->Open(ctx, "/two_mib", vfs::OpenFlags::Create());
@@ -34,30 +47,30 @@ Breakdown MmapAndWrite2MiB(const std::string& fs_name, obs::TraceBuffer& trace) 
   std::vector<uint8_t> buf(2 * kMiB, 0x77);
   // Never rewind the simulated clock: SimMutex watermarks from setup would
   // otherwise be double counted. Measure as a delta instead, and only attach
-  // the trace for the measured phase.
+  // the profiler for the measured phase.
   const uint64_t t0 = ctx.clock.NowNs();
   ctx.counters.Reset();
-  ctx.AttachTrace(&trace);
+  ctx.AttachProfiler(&profiler);
   (void)map->Write(ctx, 0, buf.data(), buf.size());
-  ctx.AttachTrace(nullptr);
+  ctx.AttachProfiler(nullptr);
 
   Breakdown out;
   out.total_us = static_cast<double>(ctx.clock.NowNs() - t0) / 1000.0;
-  out.copy_us = static_cast<double>(trace.TotalNs(obs::SpanCat::kDataCopy)) / 1000.0;
-  out.fault_us = static_cast<double>(trace.TotalNs(obs::SpanCat::kFaultHandling)) / 1000.0;
+  out.copy_us = static_cast<double>(StackNs(profiler, "mmu;device")) / 1000.0;
+  out.fault_us = static_cast<double>(StackNs(profiler, "mmu;fscore")) / 1000.0;
   out.faults = ctx.counters.total_page_faults();
   out.counters = ctx.counters;
   return out;
 }
 
 void Report(obs::BenchReport& report, const std::string& fs, const Breakdown& b,
-            const obs::TraceBuffer& trace) {
+            const obs::Profiler& profiler) {
   report.AddMetric(fs, "total_us", b.total_us);
   report.AddMetric(fs, "copy_us", b.copy_us);
   report.AddMetric(fs, "fault_us", b.fault_us);
   report.AddMetric(fs, "fault_share_pct", b.total_us > 0 ? b.fault_us / b.total_us * 100 : 0);
   report.SetCounters(fs, b.counters);
-  report.AddSpans(fs, trace);
+  report.AddAttribution(fs, profiler);
 }
 
 }  // namespace
@@ -68,10 +81,11 @@ int main() {
   Row({"mapping", "total_us", "copy_us", "fault_us", "faults", "fault_share"});
   // WineFS's hugepage-allocating fault => one 2 MiB fault. The
   // alignment-unaware xfs-DAX => 512 base-page faults.
-  obs::TraceBuffer huge_trace;
-  obs::TraceBuffer base_trace;
-  const Breakdown huge = MmapAndWrite2MiB("winefs", huge_trace);
-  const Breakdown base = MmapAndWrite2MiB("xfs-dax", base_trace);
+  // Every op sampled: the one mapped write is the whole measurement.
+  obs::Profiler huge_profiler(/*sample_shift=*/0);
+  obs::Profiler base_profiler(/*sample_shift=*/0);
+  const Breakdown huge = MmapAndWrite2MiB("winefs", huge_profiler);
+  const Breakdown base = MmapAndWrite2MiB("xfs-dax", base_profiler);
   Row({"hugepages", Fmt(huge.total_us, 1), Fmt(huge.copy_us, 1), Fmt(huge.fault_us, 1),
        benchutil::FmtU(huge.faults), Fmt(huge.fault_us / huge.total_us * 100, 1) + "%"});
   Row({"base-pages", Fmt(base.total_us, 1), Fmt(base.copy_us, 1), Fmt(base.fault_us, 1),
@@ -82,9 +96,9 @@ int main() {
   obs::BenchReport report("fig02_mmap_overhead");
   report.AddConfig("file_mib", 2.0);
   report.AddConfig("device_mib", 256.0);
-  report.AddConfig("breakdown_source", "trace_spans");
-  Report(report, "winefs", huge, huge_trace);
-  Report(report, "xfs-dax", base, base_trace);
+  report.AddConfig("breakdown_source", "profile_zones");
+  Report(report, "winefs", huge, huge_profiler);
+  Report(report, "xfs-dax", base, base_profiler);
   benchutil::EmitReport(report);
   return 0;
 }

@@ -59,11 +59,12 @@ std::vector<snap::ImageKey> ChainKeys(const std::string& fs_name,
 
 // When `obs_out` is non-null, each filesystem's aging run is instrumented:
 // the gauge sampler records fragmentation/journal/hugepage time series and
-// span traces accumulate per-CPU events. The bundles land in `obs_out` (a
-// deque for stable addresses) so main can export the Chrome trace after the
-// sweep. Only one sweep is instrumented so every gauge's series stays a
-// single monotone timeline per filesystem. Warm corpus runs skip aging, so
-// their reports carry no aging time series (the measurement spans remain).
+// the profiler attributes the aging ops per layer and keeps their zones for
+// the per-CPU trace tracks. The bundles land in `obs_out` (a deque for stable
+// addresses) so main can export the Chrome trace after the sweep. Only one
+// sweep is instrumented so every gauge's series stays a single monotone
+// timeline per filesystem. Warm corpus runs skip aging, so their reports
+// carry neither aging time series nor attribution.
 void Sweep(const std::string& profile_name, snap::Corpus& corpus, obs::BenchReport& report,
            std::deque<std::pair<std::string, FsObs>>* obs_out) {
   std::printf("\n--- aging profile: %s ---\n", profile_name.c_str());
@@ -138,7 +139,7 @@ void Sweep(const std::string& profile_name, snap::Corpus& corpus, obs::BenchRepo
       if (!fs_obs->sampler.series().empty()) {
         report.AddTimeSeries(fs_name, fs_obs->sampler.series());
       }
-      report.AddSpans(fs_name, fs_obs->trace);
+      report.AddAttribution(fs_name, fs_obs->profiler);
     }
   }
 }
@@ -166,10 +167,10 @@ int main() {
   benchutil::AddSnapConfig(report, corpus,
                            ChainKeys("winefs", "agrawal").back().Provenance());
   benchutil::EmitReport(report);
-  std::vector<obs::NamedTrace> traces;
+  std::vector<obs::NamedProfiler> profilers;
   for (const auto& [fs_name, fs_obs] : sweep_obs) {
-    traces.push_back(obs::NamedTrace{fs_name, &fs_obs.trace});
+    profilers.push_back(obs::NamedProfiler{fs_name, &fs_obs.profiler});
   }
-  benchutil::EmitChromeTrace(report.name(), traces);
+  benchutil::EmitChromeTrace(report.name(), profilers);
   return 0;
 }

@@ -28,9 +28,7 @@ struct ScalePoint {
 };
 
 ScalePoint MeasureKops(const std::string& fs_name, uint32_t threads,
-                       obs::MetricsRegistry* registry,
-                       obs::TimeSeriesSampler* sampler,
-                       obs::Profiler* profiler) {
+                       obs::TimeSeriesSampler* sampler, obs::Profiler* profiler) {
   auto bed = MakeBed(fs_name, kDeviceBytes, kCpus);
   ExecContext setup;
   for (uint32_t t = 0; t < threads; t++) {
@@ -68,7 +66,7 @@ ScalePoint MeasureKops(const std::string& fs_name, uint32_t threads,
     return true;
   };
   wload::ParallelRunner runner(threads, kCpus, setup.clock.NowNs());
-  runner.SetObservers(nullptr, registry, sampler, profiler);
+  runner.SetObservers(sampler, profiler);
   const wload::RunResult result = runner.Run(kOpsPerThread, op).run;
   if (sampler != nullptr) {
     // The bed (and with it every registered gauge provider) dies when this
@@ -181,14 +179,12 @@ int main() {
   report.AddConfig("device_mib", static_cast<double>(kDeviceBytes / kMiB));
   report.AddConfig("cpus", static_cast<double>(kCpus));
   report.AddConfig("ops_per_thread", static_cast<double>(kOpsPerThread));
-  // Per-op latency percentiles and gauge time series are collected via a
-  // MetricsRegistry + TimeSeriesSampler attached to the one-socket (28-thread)
-  // run of each filesystem. One sampler per filesystem so samples never bleed
-  // across rows.
-  obs::MetricsRegistry registry;
-  // Per-fs profilers stay alive past the loop so the collapsed zone stacks of
-  // every filesystem land in one FLAME_fig10_scalability.txt.
-  std::vector<obs::NamedLockTrack> lock_tracks;
+  // Gauge time series and the profiler's per-op attribution and contention
+  // are collected on the one-socket (28-thread) run of each filesystem. One
+  // sampler per filesystem so samples never bleed across rows. Per-fs
+  // profilers stay alive past the loop so the collapsed zone stacks of every
+  // filesystem land in one FLAME_fig10_scalability.txt.
+  std::vector<obs::NamedProfiler> profiled;
   std::vector<std::unique_ptr<obs::Profiler>> profilers;
   for (const std::string fs_name :
        {"ext4-dax", "xfs-dax", "pmfs", "nova", "splitfs", "winefs"}) {
@@ -198,8 +194,7 @@ int main() {
     obs::Profiler& profiler = *profilers.back();
     for (uint32_t t : threads) {
       const bool observe = t == kCpus;
-      const ScalePoint point = MeasureKops(fs_name, t, observe ? &registry : nullptr,
-                                           observe ? &sampler : nullptr,
+      const ScalePoint point = MeasureKops(fs_name, t, observe ? &sampler : nullptr,
                                            observe ? &profiler : nullptr);
       cells.push_back(point.kops < 0 ? "FAIL" : Fmt(point.kops, 0));
       if (point.kops >= 0) {
@@ -212,18 +207,16 @@ int main() {
         // thread queues on, and which layer the modeled time goes to.
         report.AddContention(fs_name, profiler);
         report.AddAttribution(fs_name, profiler);
-        profiler.PublishTo(registry, fs_name);
         report.AddConfig("top_contended_site_" + fs_name, profiler.TopContendedSite());
         report.AddMetric(fs_name, "top_site_wait_ns",
                          static_cast<double>(profiler.TopContendedWaitNs()));
-        lock_tracks.push_back(obs::NamedLockTrack{fs_name, &profiler});
+        profiled.push_back(obs::NamedProfiler{fs_name, &profiler});
       }
     }
     Row(cells, 10);
   }
-  report.MergeRegistry(registry);
   std::printf("\ncontention at %u threads (top site by total wait):\n", kCpus);
-  for (const obs::NamedLockTrack& track : lock_tracks) {
+  for (const obs::NamedProfiler& track : profiled) {
     uint64_t acquisitions = 0;
     for (const obs::LockSiteStats& site : track.profiler->LockSites()) {
       acquisitions += site.acquisitions;
@@ -233,7 +226,7 @@ int main() {
                 static_cast<double>(track.profiler->TopContendedWaitNs()) / 1e6,
                 static_cast<unsigned long long>(acquisitions));
   }
-  benchutil::EmitFlame(report.name(), lock_tracks);
+  benchutil::EmitFlame(report.name(), profiled);
   std::printf("\nexpected shape: WineFS/NOVA/PMFS scale to ~16-28 threads then plateau\n"
               "(VFS); ext4-DAX/xfs-DAX/SplitFS flatten early (global JBD2 commit).\n");
 

@@ -1,8 +1,8 @@
 // Per-thread execution context threaded through every simulated operation.
 // Carries the logical CPU the thread runs on (filesystems key per-CPU
 // structures off it), the simulated clock, event counters, and optional
-// observability sinks (span traces, the metrics registry, and the gauge
-// time-series sampler from src/obs).
+// observability sinks (the gauge time-series sampler and the profiler from
+// src/obs).
 #ifndef SRC_COMMON_EXEC_CONTEXT_H_
 #define SRC_COMMON_EXEC_CONTEXT_H_
 
@@ -19,8 +19,6 @@
 // context only carries non-owning pointers, so forward declarations keep the
 // dependency one-way.
 namespace obs {
-class TraceBuffer;
-class MetricsRegistry;
 class TimeSeriesSampler;
 }  // namespace obs
 
@@ -47,9 +45,7 @@ struct ExecContext {
   PerfCounters counters;
   // Optional sinks; null means "not collecting". Not owned. Attach through
   // the Attach* helpers below so Reset() can clear them; the fields stay
-  // public for the null-checked fast paths in OpScope/ScopedSpan.
-  obs::TraceBuffer* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
+  // public for the null-checked fast paths in OpScope/ProfileZone.
   obs::TimeSeriesSampler* sampler = nullptr;
   // Contention / latency-attribution profiler (obs::Profiler through the
   // abstract hook). Observation-only: attaching it never changes the modeled
@@ -67,45 +63,24 @@ struct ExecContext {
   // Typed attach helpers that mirror the sink into the ObsSink slot Reset()
   // clears through. Templates so the derived-to-ObsSink conversion happens at
   // call sites, where the obs types are complete.
-  template <typename Trace>
-  void AttachTrace(Trace* sink) {
-    trace = sink;
-    sinks_[0] = sink;
-  }
-  void AttachTrace(std::nullptr_t) {
-    trace = nullptr;
-    sinks_[0] = nullptr;
-  }
-  template <typename Metrics>
-  void AttachMetrics(Metrics* sink) {
-    metrics = sink;
-    sinks_[1] = sink;
-  }
-  void AttachMetrics(std::nullptr_t) {
-    metrics = nullptr;
-    sinks_[1] = nullptr;
-  }
   template <typename Sampler>
   void AttachSampler(Sampler* sink) {
     sampler = sink;
-    sinks_[2] = sink;
+    sinks_[0] = sink;
   }
   void AttachSampler(std::nullptr_t) {
     sampler = nullptr;
-    sinks_[2] = nullptr;
+    sinks_[0] = nullptr;
   }
   template <typename Profiler>
   void AttachProfiler(Profiler* sink) {
     profiler = sink;
-    sinks_[3] = sink;
-    zones = ZoneState{};
-    zones.sample_mask = sink->ZoneSampleMask();
-    // First op after attach is sampled; ZoneState::Tick decimates from there.
-    zones.active = true;
+    sinks_[1] = sink;
+    RestartZones();
   }
   void AttachProfiler(std::nullptr_t) {
     profiler = nullptr;
-    sinks_[3] = nullptr;
+    sinks_[1] = nullptr;
     zones = ZoneState{};
   }
 
@@ -115,10 +90,7 @@ struct ExecContext {
   void Reset() {
     clock.Reset();
     counters.Reset();
-    const uint32_t sample_mask = zones.sample_mask;
-    zones = ZoneState{};
-    zones.sample_mask = sample_mask;
-    zones.active = profiler != nullptr;
+    RestartZones();
     for (ObsSink* sink : sinks_) {
       if (sink != nullptr) {
         sink->ResetSamples();
@@ -127,7 +99,16 @@ struct ExecContext {
   }
 
  private:
-  std::array<ObsSink*, 4> sinks_{};
+  // Empties the zone stack and, with a profiler attached, starts its sampler
+  // on a fresh seed.
+  void RestartZones() {
+    zones = ZoneState{};
+    if (profiler != nullptr) {
+      zones.StartSampling(profiler->NextZoneSeed(), profiler->ZoneSampleShift());
+    }
+  }
+
+  std::array<ObsSink*, 2> sinks_{};
 };
 
 }  // namespace common

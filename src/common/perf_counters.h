@@ -2,12 +2,11 @@
 // these directly (page faults in Table 2, TLB and LLC misses in §5.4).
 //
 // Counters are REGISTERED: every field must have an entry in kCounterFields,
-// which drives Add/Reset, the obs::MetricsRegistry merge, and the BENCH_*.json
-// counter dump generically. The static_assert below fails the build if a field
-// is added to the struct without registering it, so a new counter can never be
-// silently dropped from aggregation. Time breakdowns (the old fault_handling_ns
-// / data_copy_ns fields) are no longer counters — they come from span traces
-// (src/obs/trace.h).
+// which drives Add/Reset and the BENCH_*.json counter dump generically. The
+// static_assert below fails the build if a field is added to the struct
+// without registering it, so a new counter can never be silently dropped from
+// aggregation. Time breakdowns are not counters: they come from the
+// profiler's zones (src/obs/profiler.h).
 #ifndef SRC_COMMON_PERF_COUNTERS_H_
 #define SRC_COMMON_PERF_COUNTERS_H_
 

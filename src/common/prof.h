@@ -59,9 +59,9 @@ struct ZoneFrame {
 
 // Per-ExecContext zone-stack state, embedded directly in the context so the
 // hot push/pop path is pointer-chase-free. `active` is the sticky sampling
-// decision for the CURRENT op: the Profiler flips it at each op end for the
-// next op, so attribution stays consistent even though the VFS charge zone
-// opens before the OpScope that will flush it.
+// decision for the CURRENT op: Tick flips it at each op end for the next op,
+// so attribution stays consistent even though the VFS charge zone opens
+// before the OpScope that will flush it.
 struct ZoneState {
   static constexpr int kMaxDepth = 10;  // 3 bits/level in the 32-bit path key
 
@@ -71,22 +71,52 @@ struct ZoneState {
   // high groups. Deeper-than-kMaxDepth zones merge into their parent.
   uint32_t path = 0;
   bool active = false;
-  // Sampling cadence, mirrored from the attached profiler at attach time so
-  // the per-op tick below stays inline (no virtual call on unsampled ops).
-  uint32_t sample_mask = 0;
-  uint64_t ops_seen = 0;
+  // Sampler: the gap from one sampled op to the next is drawn uniformly from
+  // [1, gap_span] (gap_span = 2^(shift+1) - 1, so the mean gap is 2^shift and
+  // shift 0 samples every op). Random gaps keep an op stream whose period
+  // divides the mean from being sampled at the same positions forever, and a
+  // gap is drawn only when a sampled op is armed, so unsampled ops pay one
+  // decrement.
+  uint32_t gap_span = 1;
+  uint32_t until_sample = 1;  // op ends left before the next sampled op
+  uint64_t rng = 0;
   // Exclusive simulated ns per layer accumulated by closed zones of the
   // current op; read-then-zeroed by the Profiler at op end.
   uint64_t layer_ns[kNumProfLayers] = {};
+
+  // Starts sampling afresh from `seed` at 1-in-2^`shift` ops. The first gap
+  // is drawn too, so whether the very next op is sampled is itself random.
+  void StartSampling(uint64_t seed, uint32_t shift) {
+    rng = seed;
+    gap_span = (2u << shift) - 1;
+    until_sample = NextGap();
+    Advance();
+  }
 
   // Per-op sampling tick, run at every op end: counts the finished op and
   // arms `active` for the next one. Returns whether the finished op was
   // sampled — only then does the caller pay the virtual EndOp flush.
   bool Tick() {
     const bool was_sampled = active;
-    ops_seen++;
-    active = ((ops_seen & sample_mask) == 0);
+    Advance();
     return was_sampled;
+  }
+
+ private:
+  void Advance() {
+    active = --until_sample == 0;
+    if (active) {
+      until_sample = NextGap();
+    }
+  }
+
+  // splitmix64 step scaled onto [1, gap_span].
+  uint32_t NextGap() {
+    uint64_t z = (rng += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    z ^= z >> 31;
+    return 1 + static_cast<uint32_t>(((z >> 32) * gap_span) >> 32);
   }
 };
 
@@ -94,7 +124,7 @@ struct ZoneState {
 // adds on a cached cell — no virtual call, no clock read). Everything beyond
 // these totals (contended counts, max wait, histograms, the event ring) lives
 // behind the virtual OnLockEvent, which RecordLockRelease below fires only
-// for contended releases plus a deterministic 1-in-64 sample of uncontended
+// for contended releases plus a deterministic 1-in-1024 sample of uncontended
 // ones. This split is what keeps always-on lock accounting within the bench
 // overhead budget (the slow path costs a virtual call, a clock read, a
 // histogram insert, and a ring push — tens of ns against a ~100ns/op gate).
@@ -130,24 +160,28 @@ class ProfilerHook {
   virtual void OnLockEvent(ExecContext& ctx, uint32_t site, uint64_t wait_ns,
                            uint64_t hold_ns) = 0;
 
-  // A zone closed with `exclusive_ns` of simulated time not covered by child
-  // zones; `path` is the packed stack key including this zone.
-  virtual void OnZoneExit(uint32_t path, ProfLayer layer, uint64_t exclusive_ns) = 0;
+  // A zone closed at the context's current simulated time, having opened at
+  // `enter_ns`, with `exclusive_ns` of it not covered by child zones; `path`
+  // is the packed stack key including this zone. Fires for every zone of a
+  // sampled op that spans simulated time.
+  virtual void OnZoneExit(const ExecContext& ctx, uint32_t path, ProfLayer layer,
+                          uint64_t enter_ns, uint64_t exclusive_ns) = 0;
 
   // Called at the end of a SAMPLED operation only (obs::OpScope runs the
   // inline ZoneState::Tick for every op and pays this virtual call just for
   // ops whose zones collected time): flushes the context's per-layer buckets
   // into the per-op aggregation.
-  virtual void EndOp(ExecContext& ctx, std::string_view fs, std::string_view op) = 0;
+  virtual void EndOp(ExecContext& ctx, std::string_view op) = 0;
 
-  // The zone-sampling mask ((1 << shift) - 1) mirrored into ZoneState at
-  // attach time; 0 samples every op.
-  virtual uint32_t ZoneSampleMask() const = 0;
+  // Zone sampling rate (1 op in 2^shift) and a fresh sampler seed, handed to
+  // a context's ZoneState each time it attaches or resets.
+  virtual uint32_t ZoneSampleShift() const = 0;
+  virtual uint64_t NextZoneSeed() = 0;
 };
 
 // Inline accounting for one completed acquire/release: exact totals on the
 // cell, virtual OnLockEvent only when the release is contended or falls in
-// the 1-in-64 uncontended sample (histograms + event ring).
+// the 1-in-1024 uncontended sample (histograms + event ring).
 inline void RecordLockRelease(ProfilerHook* hook, ExecContext& ctx, LockSiteCell* cell,
                               uint32_t handle, uint64_t wait_ns, uint64_t hold_ns) {
   cell->acquisitions++;

@@ -51,8 +51,8 @@ class ProfileZone {
     const uint64_t span = ctx_.clock.NowNs() - frame.enter_ns;
     const uint64_t exclusive = span - (frame.child_ns < span ? frame.child_ns : span);
     zones.layer_ns[static_cast<size_t>(layer_)] += exclusive;
-    if (ctx_.profiler != nullptr && exclusive != 0) {
-      ctx_.profiler->OnZoneExit(zones.path, layer_, exclusive);
+    if (ctx_.profiler != nullptr && span != 0) {
+      ctx_.profiler->OnZoneExit(ctx_, zones.path, layer_, frame.enter_ns, exclusive);
     }
     zones.path >>= 3;
     if (zones.depth > 0) {

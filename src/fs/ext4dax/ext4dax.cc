@@ -4,7 +4,6 @@
 
 #include "src/common/prof_zone.h"
 #include "src/common/units.h"
-#include "src/obs/trace.h"
 #include "src/vfs/op_batch.h"
 
 namespace ext4dax {
@@ -136,8 +135,6 @@ void Ext4Dax::Jbd2Commit(ExecContext& ctx) {
   if (dirty_meta_blocks_.empty()) {
     return;
   }
-  obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit,
-                       dirty_meta_blocks_.size() * kBlockSize);
   common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
   // Stop-the-world: every concurrent fsync serializes on the journal.
   common::SimMutex::Guard guard(jbd2_lock_, ctx);

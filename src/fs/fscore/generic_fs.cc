@@ -6,8 +6,7 @@
 #include <limits>
 
 #include "src/common/prof_zone.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/op_scope.h"
 
 namespace fscore {
 
@@ -104,17 +103,16 @@ FreeSpaceMap GenericFs::FullDataArea() const {
   return map;
 }
 
-Result<std::vector<Extent>> GenericFs::AllocBlocksTraced(ExecContext& ctx, Inode& inode,
-                                                         uint64_t nblocks,
-                                                         AllocIntent intent) {
-  obs::ScopedSpan span(ctx, obs::SpanCat::kAllocation, nblocks);
+Result<std::vector<Extent>> GenericFs::AllocBlocksProfiled(ExecContext& ctx, Inode& inode,
+                                                           uint64_t nblocks,
+                                                           AllocIntent intent) {
   common::ProfileZone zone(ctx, common::ProfLayer::kAllocator);
   return AllocBlocks(ctx, inode, nblocks, intent);
 }
 
 Result<vfs::FreeSpaceInfo> GenericFs::StatFs(ExecContext& ctx) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "statfs");
+  obs::OpScope op_scope(ctx, "statfs");
   std::lock_guard<DomainMutex> guard(dram_mu_);
   if (!mounted_) {
     return ErrorCode::kBadFd;
@@ -249,10 +247,6 @@ Status GenericFs::Mount(ExecContext& ctx) {
   const uint32_t par = std::max<uint32_t>(1, RecoveryParallelism());
   last_mount_ns_ = elapsed / par;
   ctx.clock.SetNs(t0 + last_mount_ns_);
-  if (ctx.trace != nullptr) {
-    ctx.trace->Record(
-        obs::TraceEvent{obs::SpanCat::kRecovery, ctx.cpu, t0, ctx.clock.NowNs(), 0});
-  }
   mounted_ = true;
   return common::OkStatus();
 }
@@ -414,7 +408,7 @@ uint64_t GenericFs::ExtentRecordOffset(ExecContext& ctx, Inode& inode, size_t k)
   const size_t block_i = idx / kExtentsPerIndirect;
   const size_t slot = idx % kExtentsPerIndirect;
   while (inode.pm_chain.size() <= block_i) {
-    auto alloc = AllocBlocksTraced(ctx, inode, 1, AllocIntent::kMeta);
+    auto alloc = AllocBlocksProfiled(ctx, inode, 1, AllocIntent::kMeta);
     if (!alloc.ok() || alloc->empty()) {
       return 0;
     }
@@ -594,7 +588,7 @@ Status GenericFs::AddDirent(ExecContext& ctx, Inode& dir, std::string_view name,
     // Grow the directory by one block: a small, metadata-like allocation —
     // this is one of the fragmentation sources aging exposes.
     const uint64_t logical_block = dir.dirent_capacity / kDirentsPerBlock;
-    auto alloc = AllocBlocksTraced(ctx, dir, 1, AllocIntent::kDirData);
+    auto alloc = AllocBlocksProfiled(ctx, dir, 1, AllocIntent::kDirData);
     if (!alloc.ok()) {
       return alloc.status();
     }
@@ -817,7 +811,7 @@ Status GenericFs::RemoveNode(ExecContext& ctx, Inode& parent, std::string_view n
 
 Result<int> GenericFs::Open(ExecContext& ctx, const std::string& path, vfs::OpenFlags flags) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "open");
+  obs::OpScope op_scope(ctx, "open");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   Inode* node = res.node;
@@ -859,7 +853,7 @@ Result<int> GenericFs::ClaimFd(InodeNum ino, bool write) {
 
 Status GenericFs::Close(ExecContext& ctx, int fd) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "close");
+  obs::OpScope op_scope(ctx, "close");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   return CloseHeld(fd);
 }
@@ -875,7 +869,7 @@ Status GenericFs::CloseHeld(int fd) {
 
 Status GenericFs::Mkdir(ExecContext& ctx, const std::string& path) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "mkdir");
+  obs::OpScope op_scope(ctx, "mkdir");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   if (res.node != nullptr) {
@@ -888,7 +882,7 @@ Status GenericFs::Mkdir(ExecContext& ctx, const std::string& path) {
 
 Status GenericFs::Rmdir(ExecContext& ctx, const std::string& path) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "rmdir");
+  obs::OpScope op_scope(ctx, "rmdir");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   if (res.node == nullptr) {
@@ -900,7 +894,7 @@ Status GenericFs::Rmdir(ExecContext& ctx, const std::string& path) {
 
 Status GenericFs::Unlink(ExecContext& ctx, const std::string& path) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "unlink");
+  obs::OpScope op_scope(ctx, "unlink");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   if (res.node == nullptr) {
@@ -912,7 +906,7 @@ Status GenericFs::Unlink(ExecContext& ctx, const std::string& path) {
 
 Status GenericFs::Rename(ExecContext& ctx, const std::string& from, const std::string& to) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "rename");
+  obs::OpScope op_scope(ctx, "rename");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult src, Resolve(ctx, from, /*want_parent=*/true));
   if (src.node == nullptr) {
@@ -962,7 +956,7 @@ Status GenericFs::Rename(ExecContext& ctx, const std::string& from, const std::s
 
 Result<vfs::StatInfo> GenericFs::Stat(ExecContext& ctx, const std::string& path) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "stat");
+  obs::OpScope op_scope(ctx, "stat");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   auto res = path == "/" ? Resolve(ctx, path, false) : Resolve(ctx, path, true);
   if (!res.ok()) {
@@ -987,7 +981,7 @@ vfs::StatInfo GenericFs::StatOf(const Inode& node) {
 Result<std::vector<vfs::DirEntry>> GenericFs::ReadDir(ExecContext& ctx,
                                                       const std::string& path) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "readdir");
+  obs::OpScope op_scope(ctx, "readdir");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   auto res = path == "/" ? Resolve(ctx, path, false) : Resolve(ctx, path, true);
   if (!res.ok()) {
@@ -1041,7 +1035,7 @@ Result<uint64_t> GenericFs::EnsureBlocks(ExecContext& ctx, Inode& inode, uint64_
       hole_end++;
     }
     const uint64_t need = hole_end - block;
-    auto alloc = AllocBlocksTraced(ctx, inode, need, intent);
+    auto alloc = AllocBlocksProfiled(ctx, inode, need, intent);
     if (!alloc.ok()) {
       return alloc.status();
     }
@@ -1119,7 +1113,7 @@ Result<uint64_t> GenericFs::WriteDataAtomic(ExecContext& ctx, Inode& inode, cons
 vfs::IoResult GenericFs::Pwrite(ExecContext& ctx, int fd, const void* src, uint64_t len,
                                 uint64_t offset) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "pwrite");
+  obs::OpScope op_scope(ctx, "pwrite");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
@@ -1137,7 +1131,7 @@ vfs::IoResult GenericFs::Pwrite(ExecContext& ctx, int fd, const void* src, uint6
 
 vfs::IoResult GenericFs::Append(ExecContext& ctx, int fd, const void* src, uint64_t len) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "append");
+  obs::OpScope op_scope(ctx, "append");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
@@ -1162,7 +1156,7 @@ vfs::IoResult GenericFs::Append(ExecContext& ctx, int fd, const void* src, uint6
 vfs::IoResult GenericFs::Pread(ExecContext& ctx, int fd, void* dst, uint64_t len,
                                uint64_t offset) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "pread");
+  obs::OpScope op_scope(ctx, "pread");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   return PreadHeld(ctx, fd, dst, len, offset);
 }
@@ -1208,7 +1202,7 @@ vfs::IoResult GenericFs::PreadHeld(ExecContext& ctx, int fd, void* dst, uint64_t
 
 Status GenericFs::Fsync(ExecContext& ctx, int fd) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "fsync");
+  obs::OpScope op_scope(ctx, "fsync");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   return FsyncHeld(ctx, fd);
 }
@@ -1227,7 +1221,7 @@ Status GenericFs::FsyncHeld(ExecContext& ctx, int fd) {
 
 Status GenericFs::Fallocate(ExecContext& ctx, int fd, uint64_t offset, uint64_t len) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "fallocate");
+  obs::OpScope op_scope(ctx, "fallocate");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
@@ -1250,7 +1244,7 @@ Status GenericFs::Fallocate(ExecContext& ctx, int fd, uint64_t offset, uint64_t 
 
 Status GenericFs::Ftruncate(ExecContext& ctx, int fd, uint64_t size) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "ftruncate");
+  obs::OpScope op_scope(ctx, "ftruncate");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   Inode* inode = GetInodeByFd(fd);
   if (inode == nullptr) {
@@ -1290,7 +1284,7 @@ Status GenericFs::Ftruncate(ExecContext& ctx, int fd, uint64_t size) {
 Status GenericFs::SetXattr(ExecContext& ctx, const std::string& path, const std::string& name,
                            const std::string& value) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "setxattr");
+  obs::OpScope op_scope(ctx, "setxattr");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   if (res.node == nullptr) {
@@ -1311,7 +1305,7 @@ Status GenericFs::SetXattr(ExecContext& ctx, const std::string& path, const std:
 Result<std::string> GenericFs::GetXattr(ExecContext& ctx, const std::string& path,
                                         const std::string& name) {
   ChargeSyscall(ctx);
-  obs::OpScope op_scope(ctx, Name(), "getxattr");
+  obs::OpScope op_scope(ctx, "getxattr");
   DramStripeGuard guard(dram_mu_.Stripe(ctx.cpu));
   ASSIGN_OR_RETURN(ResolveResult res, Resolve(ctx, path, /*want_parent=*/true));
   if (res.node == nullptr) {
@@ -1374,7 +1368,7 @@ Result<vmem::FaultHandler::FaultMapping> GenericFs::HandleFault(ExecContext& ctx
     }
     if (!mapping.has_value() && write && AllocatesHugeOnFault()) {
       // Hugepage-allocating fault (WineFS): ask for the whole chunk at once.
-      auto alloc = AllocBlocksTraced(ctx, *inode, kBlocksPerHugepage, AllocIntent::kFileData);
+      auto alloc = AllocBlocksProfiled(ctx, *inode, kBlocksPerHugepage, AllocIntent::kFileData);
       if (alloc.ok() && alloc->size() == 1 && (*alloc)[0].IsAligned()) {
         const Extent ext = (*alloc)[0];
         inode->extents.Insert(chunk_block, ext.phys_block, ext.num_blocks);
@@ -1403,7 +1397,7 @@ Result<vmem::FaultHandler::FaultMapping> GenericFs::HandleFault(ExecContext& ctx
     if (page_offset >= common::RoundUp(inode->size, kBlockSize)) {
       return ErrorCode::kInvalidArgument;  // beyond EOF: SIGBUS
     }
-    auto alloc = AllocBlocksTraced(ctx, *inode, 1, AllocIntent::kFileData);
+    auto alloc = AllocBlocksProfiled(ctx, *inode, 1, AllocIntent::kFileData);
     if (!alloc.ok()) {
       return alloc.status();
     }

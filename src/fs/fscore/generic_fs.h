@@ -310,11 +310,11 @@ class GenericFs : public vfs::FileSystem {
 
   // ==== Services provided to subclasses ====================================
 
-  // AllocBlocks policy call wrapped in an obs allocation span; every internal
-  // allocation goes through this.
-  common::Result<std::vector<Extent>> AllocBlocksTraced(common::ExecContext& ctx,
-                                                        Inode& inode, uint64_t nblocks,
-                                                        AllocIntent intent);
+  // AllocBlocks policy call wrapped in an allocator profile zone; every
+  // internal allocation goes through this.
+  common::Result<std::vector<Extent>> AllocBlocksProfiled(common::ExecContext& ctx,
+                                                          Inode& inode, uint64_t nblocks,
+                                                          AllocIntent intent);
 
   // In-place relaxed write (allocates holes, streams data). Shared by
   // relaxed mode and by strict implementations for freshly allocated blocks.

@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "src/fs/fscore/generic_fs.h"
-#include "src/obs/metrics.h"
+#include "src/obs/op_scope.h"
 #include "src/vfs/op_batch.h"
 
 namespace fscore {
@@ -182,7 +182,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           break;
         }
         ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), "stat");
+        obs::OpScope op_scope(ctx, "stat");
         Status status;
         Inode* node = resolve(op.path, &status);
         if (node == nullptr) {
@@ -201,7 +201,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           break;
         }
         ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), "open");
+        obs::OpScope op_scope(ctx, "open");
         Status status;
         Inode* node = resolve(op.path, &status);
         if (node == nullptr) {
@@ -231,7 +231,7 @@ void GenericFs::ExecuteBatchNative(ExecContext& ctx, const vfs::OpBatch& batch,
           break;
         }
         ChargeSyscall(ctx);
-        obs::OpScope op_scope(ctx, Name(), vfs::OpKindName(op.kind));
+        obs::OpScope op_scope(ctx, vfs::OpKindName(op.kind));
         if (op.kind == vfs::OpKind::kClose) {
           out.status = CloseHeld(*fd);
         } else if (op.kind == vfs::OpKind::kFsync) {

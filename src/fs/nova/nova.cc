@@ -1,7 +1,6 @@
 #include "src/fs/nova/nova.h"
 
 #include "src/common/prof_zone.h"
-#include "src/obs/trace.h"
 
 #include <algorithm>
 #include <cassert>
@@ -213,7 +212,6 @@ void Nova::AllocLogPage(ExecContext& ctx, Inode& inode) {
 }
 
 void Nova::AppendLogEntry(ExecContext& ctx, Inode& inode) {
-  obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, kLogEntryBytes);
   common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
   if (inode.log_pages.empty() || inode.log_entries_in_tail >= kEntriesPerLogPage) {
     AllocLogPage(ctx, inode);

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "src/obs/trace.h"
-
 #include "src/common/prof_zone.h"
 #include "src/common/units.h"
 
@@ -134,7 +132,6 @@ void Pmfs::TxMetaWrite(ExecContext& ctx, vfs::InodeNum owner, uint64_t pm_offset
   {
     // Fine-grained undo journaling: copy the old image into cacheline-sized
     // entries, fence, and only then overwrite in place.
-    obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, len);
     common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
     uint64_t done = 0;
     while (done < len) {
@@ -168,7 +165,6 @@ void Pmfs::TxCommit(ExecContext& ctx) {
   if (tx_depth_ > 0) {
     return;
   }
-  obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, sizeof(JournalEntry));
   common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
   JournalEntry entry;
   entry.txn_id = tx_id_;

@@ -1,7 +1,6 @@
 #include "src/fs/splitfs/splitfs.h"
 
-#include "src/obs/trace.h"
-
+#include "src/common/prof_zone.h"
 #include "src/common/units.h"
 
 namespace splitfs {
@@ -60,7 +59,7 @@ void SplitFs::TxMetaWrite(ExecContext& ctx, vfs::InodeNum owner, uint64_t pm_off
                           const void* data, uint64_t len) {
   if (relink_mode_) {
     // User-level relink journal: a couple of cacheline writes, no JBD2.
-    obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, len);
+    common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
     device_->Store(ctx, pm_offset, data, len);
     device_->Clwb(ctx, pm_offset, len);
     device_->Fence(ctx);

@@ -1,7 +1,5 @@
 #include "src/fs/winefs/winefs.h"
 
-#include "src/obs/trace.h"
-
 #include <algorithm>
 #include <cassert>
 #include <cstring>
@@ -426,7 +424,6 @@ void WineFs::AppendRawSlots(ExecContext& ctx, CpuPool& pool, const uint8_t* data
 
 void WineFs::JournalUndo(ExecContext& ctx, CpuPool& pool, uint64_t target_offset,
                          uint64_t len) {
-  obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, len);
   common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
   if (len >= 1024) {
     // Data journaling of a large region: one blob header + the old image
@@ -510,7 +507,6 @@ void WineFs::TxCommit(ExecContext& ctx) {
   if (tx.depth > 0) {
     return;
   }
-  obs::ScopedSpan span(ctx, obs::SpanCat::kJournalCommit, sizeof(JournalEntry));
   common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
   JournalEntry entry;
   entry.txn_id = tx.id;

@@ -24,8 +24,10 @@ void MetadataEvent(JsonWriter& w, std::string_view what, uint64_t pid, uint64_t 
   w.EndObject();
 }
 
+// One span; `cpu` is the simulated CPU it ran on (the tid of a zone track,
+// the acquiring CPU on a lock-site track).
 void CompleteEvent(JsonWriter& w, std::string_view name, std::string_view cat, uint64_t pid,
-                   uint64_t tid, uint64_t start_ns, uint64_t dur_ns, uint64_t arg) {
+                   uint64_t tid, uint64_t start_ns, uint64_t dur_ns, uint32_t cpu) {
   w.BeginObject();
   w.Key("name").String(name);
   w.Key("cat").String(cat);
@@ -35,7 +37,7 @@ void CompleteEvent(JsonWriter& w, std::string_view name, std::string_view cat, u
   // Trace-event timestamps are microseconds; keep ns precision as decimals.
   w.Key("ts").Number(static_cast<double>(start_ns) / 1000.0);
   w.Key("dur").Number(static_cast<double>(dur_ns) / 1000.0);
-  w.Key("args").BeginObject().Key("arg").Number(arg).EndObject();
+  w.Key("args").BeginObject().Key("cpu").Number(uint64_t{cpu}).EndObject();
   w.EndObject();
 }
 
@@ -65,44 +67,40 @@ common::Result<std::string> WriteTextFile(const std::string& path, const std::st
 
 }  // namespace
 
-std::string ChromeTraceJson(const std::vector<NamedTrace>& traces,
-                            const std::vector<NamedLockTrack>& lock_tracks) {
+std::string ChromeTraceJson(const std::vector<NamedProfiler>& profilers) {
   JsonWriter w;
   w.BeginObject();
   w.Key("displayTimeUnit").String("ms");
   w.Key("traceEvents").BeginArray();
   uint64_t pid = 0;
-  for (const NamedTrace& named : traces) {
-    pid++;
-    if (named.trace == nullptr) {
+  for (const NamedProfiler& named : profilers) {
+    if (named.profiler == nullptr) {
       continue;
     }
-    const std::vector<TraceEvent> events = named.trace->Events();
-    MetadataEvent(w, "process_name", pid, 0, named.name, /*with_tid=*/false);
-    std::set<uint32_t> cpus;
-    for (const TraceEvent& event : events) {
-      cpus.insert(event.cpu);
+    const std::vector<Profiler::ZoneEvent> zones = named.profiler->ZoneEvents();
+    if (!zones.empty()) {
+      pid++;
+      MetadataEvent(w, "process_name", pid, 0, named.name, /*with_tid=*/false);
+      std::set<uint32_t> cpus;
+      for (const Profiler::ZoneEvent& zone : zones) {
+        cpus.insert(zone.cpu);
+      }
+      for (const uint32_t cpu : cpus) {
+        MetadataEvent(w, "thread_name", pid, cpu, "cpu " + std::to_string(cpu),
+                      /*with_tid=*/true);
+      }
+      for (const Profiler::ZoneEvent& zone : zones) {
+        const std::string_view layer = common::ProfLayerName(zone.layer);
+        CompleteEvent(w, layer, layer, pid, zone.cpu, zone.enter_ns,
+                      zone.exit_ns - zone.enter_ns, zone.cpu);
+      }
     }
-    for (const uint32_t cpu : cpus) {
-      MetadataEvent(w, "thread_name", pid, cpu, "cpu " + std::to_string(cpu),
-                    /*with_tid=*/true);
-    }
-    for (const TraceEvent& event : events) {
-      CompleteEvent(w, SpanCatName(event.cat), SpanCatName(event.cat), pid, event.cpu,
-                    event.start_ns, event.duration_ns(), event.arg);
-    }
-  }
-  for (const NamedLockTrack& track : lock_tracks) {
-    pid++;
-    if (track.profiler == nullptr) {
-      continue;
-    }
-    const std::vector<LockEvent> events = track.profiler->LockEvents();
+    const std::vector<LockEvent> events = named.profiler->LockEvents();
     if (events.empty()) {
       continue;
     }
-    MetadataEvent(w, "process_name", pid, 0, track.name + " locks", /*with_tid=*/false);
-    const std::vector<LockSiteStats> sites = track.profiler->LockSites();
+    pid++;
+    MetadataEvent(w, "process_name", pid, 0, named.name + " locks", /*with_tid=*/false);
     std::set<uint32_t> seen_sites;
     for (const LockEvent& event : events) {
       seen_sites.insert(event.site);
@@ -111,7 +109,7 @@ std::string ChromeTraceJson(const std::vector<NamedTrace>& traces,
       // Thread rows are the lock sites; lane ids start at 1000 so they never
       // collide with cpu lanes if a viewer merges processes.
       MetadataEvent(w, "thread_name", pid, 1000 + site,
-                    std::string("lock ") + track.profiler->SiteName(site),
+                    std::string("lock ") + named.profiler->SiteName(site),
                     /*with_tid=*/true);
     }
     for (const LockEvent& event : events) {
@@ -135,15 +133,14 @@ std::string ChromeTraceJson(const std::vector<NamedTrace>& traces,
 }
 
 common::Result<std::string> WriteChromeTrace(std::string_view bench_name,
-                                             const std::vector<NamedTrace>& traces,
-                                             const std::vector<NamedLockTrack>& lock_tracks) {
+                                             const std::vector<NamedProfiler>& profilers) {
   return WriteTextFile(OutPath("TRACE_", bench_name, ".json"),
-                       ChromeTraceJson(traces, lock_tracks) + "\n");
+                       ChromeTraceJson(profilers) + "\n");
 }
 
-std::string CollapsedStacks(const std::vector<NamedLockTrack>& profilers) {
+std::string CollapsedStacks(const std::vector<NamedProfiler>& profilers) {
   std::string out;
-  for (const NamedLockTrack& track : profilers) {
+  for (const NamedProfiler& track : profilers) {
     if (track.profiler == nullptr) {
       continue;
     }
@@ -160,7 +157,7 @@ std::string CollapsedStacks(const std::vector<NamedLockTrack>& profilers) {
 }
 
 common::Result<std::string> WriteCollapsedStacks(std::string_view bench_name,
-                                                 const std::vector<NamedLockTrack>& profilers) {
+                                                 const std::vector<NamedProfiler>& profilers) {
   return WriteTextFile(OutPath("FLAME_", bench_name, ".txt"), CollapsedStacks(profilers));
 }
 

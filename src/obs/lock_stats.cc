@@ -4,9 +4,6 @@
 
 namespace obs {
 
-LockSiteRegistry::LockSiteRegistry(size_t event_capacity)
-    : event_capacity_(event_capacity == 0 ? 1 : event_capacity) {}
-
 uint32_t LockSiteRegistry::Register(std::string_view site) {
   auto it = index_.find(site);
   if (it != index_.end()) {
@@ -39,26 +36,7 @@ void LockSiteRegistry::RecordSampled(uint32_t site, uint32_t cpu, uint64_t relea
   stats.wait.Record(wait_ns);
   stats.hold.Record(hold_ns);
 
-  const LockEvent event{site, cpu, wait_ns, hold_ns, release_ns};
-  if (events_.size() < event_capacity_) {
-    events_.push_back(event);
-  } else {
-    events_[event_head_] = event;
-    event_wrapped_ = true;
-  }
-  event_head_ = (event_head_ + 1) % event_capacity_;
-}
-
-std::vector<LockEvent> LockSiteRegistry::Events() const {
-  if (!event_wrapped_) {
-    return events_;
-  }
-  std::vector<LockEvent> ordered;
-  ordered.reserve(events_.size());
-  for (size_t i = 0; i < events_.size(); i++) {
-    ordered.push_back(events_[(event_head_ + i) % events_.size()]);
-  }
-  return ordered;
+  events_.Push(LockEvent{site, cpu, wait_ns, hold_ns, release_ns});
 }
 
 int LockSiteRegistry::TopContendedSite() const {
@@ -86,9 +64,7 @@ void LockSiteRegistry::Clear() {
     stats.wait.Reset();
     stats.hold.Reset();
   }
-  events_.clear();
-  event_head_ = 0;
-  event_wrapped_ = false;
+  events_.Clear();
 }
 
 }  // namespace obs

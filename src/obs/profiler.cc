@@ -1,11 +1,8 @@
 #include "src/obs/profiler.h"
 
-#include "src/obs/metrics.h"
-
 namespace obs {
 
-Profiler::Profiler(uint32_t sample_shift, size_t lock_event_capacity)
-    : sample_mask_((1u << sample_shift) - 1), sites_(lock_event_capacity) {}
+Profiler::Profiler(uint32_t sample_shift) : sample_shift_(sample_shift) {}
 
 uint32_t Profiler::RegisterLockSite(std::string_view site) {
   return sites_.Register(site);
@@ -20,8 +17,12 @@ void Profiler::OnLockEvent(common::ExecContext& ctx, uint32_t site, uint64_t wai
   sites_.RecordSampled(site, ctx.cpu, ctx.clock.NowNs(), wait_ns, hold_ns);
 }
 
-void Profiler::OnZoneExit(uint32_t path, common::ProfLayer layer, uint64_t exclusive_ns) {
-  (void)layer;  // the path's low 3-bit group already encodes it
+void Profiler::OnZoneExit(const common::ExecContext& ctx, uint32_t path, common::ProfLayer layer,
+                          uint64_t enter_ns, uint64_t exclusive_ns) {
+  zone_events_.Push(ZoneEvent{ctx.cpu, layer, enter_ns, ctx.clock.NowNs()});
+  if (exclusive_ns == 0) {
+    return;
+  }
   for (FoldedCell& cell : folded_) {
     if (cell.path == path) {
       cell.ns += exclusive_ns;
@@ -31,8 +32,7 @@ void Profiler::OnZoneExit(uint32_t path, common::ProfLayer layer, uint64_t exclu
   folded_.push_back(FoldedCell{path, exclusive_ns});
 }
 
-void Profiler::EndOp(common::ExecContext& ctx, std::string_view fs, std::string_view op) {
-  (void)fs;  // one Profiler instance per filesystem under test
+void Profiler::EndOp(common::ExecContext& ctx, std::string_view op) {
   common::ZoneState& zones = ctx.zones;
   uint64_t total = 0;
   auto it = attribution_.find(op);
@@ -59,6 +59,7 @@ void Profiler::ResetSamples() {
   sites_.Clear();
   attribution_.clear();
   folded_.clear();
+  zone_events_.Clear();
 }
 
 std::vector<LockSiteStats> Profiler::LockSites() const {
@@ -132,27 +133,6 @@ std::vector<Profiler::FoldedFrame> Profiler::FoldedStacks() const {
 
 uint64_t Profiler::ops_sampled() const {
   return ops_sampled_;
-}
-
-void Profiler::PublishTo(MetricsRegistry& registry, std::string_view fs) const {
-  uint64_t acquisitions = 0;
-  uint64_t wait_ns = 0;
-  uint64_t hold_ns = 0;
-  uint64_t max_wait_ns = 0;
-  {
-    for (const LockSiteStats& stats : sites_.sites()) {
-      acquisitions += stats.acquisitions;
-      wait_ns += stats.total_wait_ns;
-      hold_ns += stats.total_hold_ns;
-      if (stats.max_wait_ns > max_wait_ns) {
-        max_wait_ns = stats.max_wait_ns;
-      }
-    }
-  }
-  registry.AddCounter(fs, "lock_acquisitions", acquisitions);
-  registry.AddCounter(fs, "lock_wait_total_ns", wait_ns);
-  registry.AddCounter(fs, "lock_hold_total_ns", hold_ns);
-  registry.AddCounter(fs, "lock_wait_max_ns", max_wait_ns);
 }
 
 }  // namespace obs

@@ -62,37 +62,6 @@ void BenchReport::SetCounters(std::string_view fs, const common::PerfCounters& c
   ForFs(fs).counters = counters;
 }
 
-void BenchReport::MergeRegistry(const MetricsRegistry& registry) {
-  for (const std::string& fs : registry.FsNames()) {
-    FsResult& row = ForFs(fs);
-    for (const std::string& op : registry.OpsFor(fs)) {
-      row.latencies.push_back(SummarizeHistogram(op, registry.OpHistogram(fs, op)));
-    }
-    for (const auto& [name, value] : registry.CountersFor(fs)) {
-      bool registered = false;
-      for (const common::CounterField& field : common::kCounterFields) {
-        if (name == field.name) {
-          row.counters.*field.member += value;
-          registered = true;
-          break;
-        }
-      }
-      if (!registered) {
-        // Ad-hoc registry counters surface as metrics rather than vanishing.
-        row.metrics.emplace_back(name, static_cast<double>(value));
-      }
-    }
-  }
-}
-
-void BenchReport::AddSpans(std::string_view fs, const TraceBuffer& trace) {
-  FsResult& row = ForFs(fs);
-  for (size_t i = 0; i < kNumSpanCats; i++) {
-    const SpanCat cat = static_cast<SpanCat>(i);
-    row.span_ns.emplace_back(std::string(SpanCatName(cat)), trace.TotalNs(cat));
-  }
-}
-
 void BenchReport::AddContention(std::string_view fs, const Profiler& profiler) {
   std::vector<LockSiteStats> sites = profiler.LockSites();
   if (sites.empty()) {
@@ -266,13 +235,6 @@ std::string BenchReport::ToJson() const {
         w.Key("latency");
         WriteSummaryObject(w, t.latency);
         w.EndObject();
-      }
-      w.EndObject();
-    }
-    if (!row.span_ns.empty()) {
-      w.Key("spans_ns").BeginObject();
-      for (const auto& [cat, ns] : row.span_ns) {
-        w.Key(cat).Number(ns);
       }
       w.EndObject();
     }
@@ -481,10 +443,6 @@ common::Status ValidateBenchReportJson(std::string_view json_text) {
           return invalid;
         }
       }
-    }
-    const JsonValue* spans = row.Find("spans_ns");
-    if (spans != nullptr && !IsNumberObject(spans)) {
-      return invalid;
     }
     // timeseries (optional): gauge -> array of [t_ns, value] number pairs.
     const JsonValue* timeseries = row.Find("timeseries");

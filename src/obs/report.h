@@ -1,9 +1,9 @@
 // Structured bench results. Every bench target builds a BenchReport and calls
 // WriteFile(), which emits BENCH_<name>.json (schema v3: config, per-fs
 // metrics + latency summaries with tails and extremes + the full registered
-// counter dump, optional span totals, optional gauge time series sampled
-// along the simulated timeline, optional per-lock-site `contention` and
-// per-op per-layer `attribution` sections from the profiler) into
+// counter dump, optional gauge time series sampled along the simulated
+// timeline, optional per-lock-site `contention` and per-op per-layer
+// `attribution` sections from the profiler) into
 // $BENCH_OUT_DIR (default: current directory). The emitted JSON is validated
 // against the schema before it hits disk, so a bench that produces malformed
 // output fails loudly at runtime — and the bench_json_schema CTest target
@@ -17,11 +17,10 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/histogram.h"
 #include "src/common/perf_counters.h"
 #include "src/common/result.h"
 #include "src/obs/gauges.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 
 namespace obs {
 
@@ -87,10 +86,8 @@ struct FsResult {
   std::vector<std::pair<std::string, double>> metrics;
   // Full registered counter dump (one JSON key per common::kCounterFields).
   common::PerfCounters counters;
-  // Per-op latency summaries, usually from MetricsRegistry histograms.
+  // Per-op latency summaries from a bench's own histograms.
   std::vector<LatencySummary> latencies;
-  // Per-category span totals from a TraceBuffer, e.g. fault_handling -> ns.
-  std::vector<std::pair<std::string, uint64_t>> span_ns;
   // Gauge time series sampled on the simulated timeline: gauge -> points.
   std::vector<std::pair<std::string, std::vector<TimeSeriesPoint>>> timeseries;
   // Per-lock-site contention rows, sorted by total wait descending.
@@ -113,14 +110,6 @@ class BenchReport {
 
   void AddMetric(std::string_view fs, std::string key, double value);
   void SetCounters(std::string_view fs, const common::PerfCounters& counters);
-
-  // Pulls per-op latency summaries and registry counters for every fs the
-  // registry has seen (registry counters land in FsResult::counters via the
-  // registered-field names).
-  void MergeRegistry(const MetricsRegistry& registry);
-
-  // Records the per-category simulated-time totals of `trace` for `fs`.
-  void AddSpans(std::string_view fs, const TraceBuffer& trace);
 
   // Appends every gauge series of `series` to `fs`'s timeseries section.
   // Calling it again for the same fs extends existing gauges (points are

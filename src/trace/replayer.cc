@@ -227,8 +227,7 @@ Result<ReplayResult> TraceReplayer::Replay(const Trace& trace) {
     return true;
   };
   wload::ParallelRunner runner(num_threads, options_.num_cpus, options_.base_ns);
-  runner.SetObservers(options_.trace_sink, options_.metrics, options_.sampler,
-                      options_.profiler);
+  runner.SetObservers(options_.sampler, options_.profiler);
   const wload::RunResult run = runner.Run(max_windows_per_thread, window_op).run;
 
   result.records = records_done_;

@@ -38,9 +38,7 @@
 #include "src/common/perf_counters.h"
 #include "src/common/result.h"
 #include "src/obs/gauges.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/trace/format.h"
 #include "src/vfs/file_system.h"
 
@@ -58,8 +56,6 @@ struct ReplayOptions {
   // double-counting).
   uint64_t base_ns = 0;
   // Observability sinks propagated into every replay thread (null = off).
-  obs::TraceBuffer* trace_sink = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   obs::TimeSeriesSampler* sampler = nullptr;
   obs::Profiler* profiler = nullptr;
 };

@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <string_view>
 
-#include "src/common/prof.h"
+#include "src/common/prof_zone.h"
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/op_scope.h"
 
 namespace vmem {
 
@@ -29,10 +27,6 @@ constexpr uint64_t kStlbHitNs = 5;
 // hints. On 512-op batches over a 16 MiB mapping, 4 to 16 measured alike and
 // 32 slightly worse.
 constexpr size_t kLineLookahead = 8;
-
-// Mapped calls are not any one filesystem's syscalls; their op scopes record
-// under this name.
-constexpr std::string_view kScopeFs = "vmem";
 
 // True when the 8 bytes a line op moves at `offset` stay inside its 64 B line.
 bool InOneLine(uint64_t offset) {
@@ -220,8 +214,9 @@ Result<uint64_t> MappedFile::TranslateMiss(ExecContext& ctx, uint64_t offset, bo
     return finish(walk.pte.phys + in_page);
   }
 
-  // Page fault.
-  const uint64_t fault_start = ctx.clock.NowNs();
+  // Page fault. Its zone bills the filesystem's handler and the fixed fault
+  // charge to fscore; nothing after the charge advances the clock.
+  common::ProfileZone fault_zone(ctx, common::ProfLayer::kFsCore);
   const uint64_t page_offset = common::RoundDown(offset, kBlockSize);
   auto fault = handler_->HandleFault(ctx, ino_, page_offset, write);
   if (!fault.ok()) {
@@ -237,10 +232,6 @@ Result<uint64_t> MappedFile::TranslateMiss(ExecContext& ctx, uint64_t offset, bo
     ctx.clock.Advance(cost.fault_base_ns + cost.fault_huge_extra_ns);
     ctx.counters.page_faults_2m++;
     tlb.Insert(vaddr, /*huge=*/true);
-    if (ctx.trace != nullptr) {
-      ctx.trace->Record(obs::TraceEvent{obs::SpanCat::kFaultHandling, ctx.cpu, fault_start,
-                                        ctx.clock.NowNs(), kHugepageSize});
-    }
     return finish(fault->phys + offset % kHugepageSize);
   }
   const uint64_t page_vaddr = va_base_ + page_offset;
@@ -253,15 +244,11 @@ Result<uint64_t> MappedFile::TranslateMiss(ExecContext& ctx, uint64_t offset, bo
   ctx.clock.Advance(cost.fault_base_ns);
   ctx.counters.page_faults_4k++;
   tlb.Insert(vaddr, /*huge=*/false);
-  if (ctx.trace != nullptr) {
-    ctx.trace->Record(obs::TraceEvent{obs::SpanCat::kFaultHandling, ctx.cpu, fault_start,
-                                      ctx.clock.NowNs(), kBlockSize});
-  }
   return finish(fault->phys + offset % kBlockSize);
 }
 
 Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uint64_t len) {
-  obs::OpScope op_scope(ctx, kScopeFs, "mmap_write", common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, "mmap_write", common::ProfLayer::kMmu);
   if (offset + len > length_) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -295,7 +282,7 @@ Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uin
     }
     std::memcpy(engine_->device().raw_span(phys, run), cursor, run);
     {
-      obs::ScopedSpan copy_span(ctx, obs::SpanCat::kDataCopy, run);
+      common::ProfileZone copy_zone(ctx, common::ProfLayer::kDevice);
       ctx.clock.Advance(copy_ns);
     }
     ctx.counters.pm_write_bytes += run;
@@ -307,7 +294,7 @@ Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uin
 }
 
 Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t len) {
-  obs::OpScope op_scope(ctx, kScopeFs, "mmap_read", common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, "mmap_read", common::ProfLayer::kMmu);
   if (offset + len > length_) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -334,7 +321,7 @@ Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t l
     }
     std::memcpy(cursor, engine_->device().raw_span(phys, run), run);
     {
-      obs::ScopedSpan copy_span(ctx, obs::SpanCat::kDataCopy, run);
+      common::ProfileZone copy_zone(ctx, common::ProfLayer::kDevice);
       ctx.clock.Advance(copy_ns);
     }
     ctx.counters.pm_read_bytes += run;
@@ -347,7 +334,7 @@ Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t l
 
 Status MappedFile::LineAccess(ExecContext& ctx, uint64_t offset, bool write, void* data,
                               uint64_t* latency_ns_out) {
-  obs::OpScope op_scope(ctx, kScopeFs, "mmap_lines", common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, "mmap_lines", common::ProfLayer::kMmu);
   if (!InOneLine(offset)) {
     return Status(ErrorCode::kInvalidArgument);
   }
@@ -429,7 +416,7 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
   // modeled, HintLine prefetches both for op i + kLineLookahead. Op 0 gets
   // no hint, since it is modeled at once and a hint could not land in time;
   // so a one-op batch issues none.
-  obs::OpScope op_scope(ctx, kScopeFs, "mmap_lines", common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, "mmap_lines", common::ProfLayer::kMmu);
   MmapEngine::CpuState& cpu_state = engine_->cpu(ctx);
   Tlb& tlb = cpu_state.tlb;
   LlcCache& llc = cpu_state.llc;
@@ -515,7 +502,7 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
 }
 
 Status MappedFile::Prefault(ExecContext& ctx, bool write) {
-  obs::OpScope op_scope(ctx, kScopeFs, "mmap_prefault", common::ProfLayer::kMmu);
+  obs::OpScope op_scope(ctx, "mmap_prefault", common::ProfLayer::kMmu);
   uint64_t offset = 0;
   while (offset < length_) {
     auto phys = TranslateByte(ctx, offset, write, nullptr);

@@ -60,7 +60,9 @@ struct LineOp {
 // One mmap'd file region. All accesses go through the cost-accounted APIs.
 // Each public data-path call ends as one op of its own for the attached
 // observers (obs::OpScope, root zone mmu): mmap_write, mmap_read, mmap_lines
-// (LoadLine, StoreLine, AccessLines) and mmap_prefault.
+// (LoadLine, StoreLine, AccessLines) and mmap_prefault. Inside it, each page
+// fault is an fscore zone (the filesystem's handler plus the fixed fault
+// charge) and each bulk Write/Read copy a device zone.
 class MappedFile {
  public:
   ~MappedFile();

@@ -112,8 +112,6 @@ ParallelResult ParallelRunner::Run(uint64_t ops_per_thread, const OpFn& op) cons
     threads.back().ctx.clock.SetNs(base_ns_);
     threads.back().ctx.hazards = &hazards;
     if (attach_observers) {
-      threads.back().ctx.AttachTrace(trace_);
-      threads.back().ctx.AttachMetrics(metrics_);
       threads.back().ctx.AttachSampler(sampler_);
       if (profiler_ != nullptr) {
         threads.back().ctx.AttachProfiler(profiler_);

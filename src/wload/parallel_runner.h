@@ -33,9 +33,7 @@
 #include "src/common/exec_context.h"
 #include "src/common/shard_sync.h"
 #include "src/obs/gauges.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
-#include "src/obs/trace.h"
 #include "src/vfs/file_system.h"
 
 namespace wload {
@@ -95,11 +93,8 @@ class ParallelRunner {
   // (null disables collection; not owned, must outlive Run()). Attached only
   // by the one-worker schedule: sharded workers would race on the shared
   // buffers, so they run without sinks.
-  ParallelRunner& SetObservers(obs::TraceBuffer* trace, obs::MetricsRegistry* metrics,
-                               obs::TimeSeriesSampler* sampler = nullptr,
+  ParallelRunner& SetObservers(obs::TimeSeriesSampler* sampler,
                                obs::Profiler* profiler = nullptr) {
-    trace_ = trace;
-    metrics_ = metrics;
     sampler_ = sampler;
     profiler_ = profiler;
     return *this;
@@ -114,8 +109,6 @@ class ParallelRunner {
   uint32_t workers_ = 1;
   bool stress_ = false;
   uint64_t stress_seed_ = 0;
-  obs::TraceBuffer* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::TimeSeriesSampler* sampler_ = nullptr;
   obs::Profiler* profiler_ = nullptr;
 };

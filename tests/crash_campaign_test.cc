@@ -83,6 +83,16 @@ TEST(CrashCampaignTest, PruningRatioAtLeastTenX) {
 
 class AgedCampaignTest : public ::testing::TestWithParam<std::string> {};
 
+// ext4-DAX and xfs-DAX write their metadata through
+// PmemDevice::StoreUncharged and fence only at fsync, and SplitFS inherits
+// that metadata path, so the campaign finds no crash state to judge on them
+// and their "no failures" verdict is vacuous. Their count is pinned at 0 so
+// that routing that metadata through the journal (ROADMAP item 4) must flip
+// this expectation on purpose.
+bool JudgesNoCrashStates(const std::string& fs) {
+  return fs == "ext4-dax" || fs == "xfs-dax" || fs == "splitfs";
+}
+
 TEST_P(AgedCampaignTest, AgedCampaignFindsNoFailures) {
   CampaignConfig config = BaseConfig(GetParam());
   config.prune = true;
@@ -95,6 +105,13 @@ TEST_P(AgedCampaignTest, AgedCampaignFindsNoFailures) {
   EXPECT_EQ(result->totals.oracle_failures, 0u);
   EXPECT_EQ(result->totals.mount_failures, 0u);
   EXPECT_GT(result->totals.ops_executed, 0u);
+  // A verdict counts only over the crash states it judged.
+  if (JudgesNoCrashStates(GetParam())) {
+    EXPECT_EQ(result->totals.crash_states, 0u)
+        << GetParam() << " now explores crash states: ROADMAP item 4 must flip this pin";
+  } else {
+    EXPECT_GT(result->totals.crash_states, 0u) << GetParam();
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(SixStockFilesystems, AgedCampaignTest,
@@ -193,7 +210,7 @@ TEST(CrashCampaignTest, ScrubDaemonReportsMeanTimeToDetect) {
 
   // Thread 0: foreground metadata traffic. Thread 1: the scrub daemon.
   wload::ParallelRunner runner(/*num_threads=*/2, /*num_cpus=*/2);
-  runner.SetObservers(nullptr, nullptr, &sampler);
+  runner.SetObservers(&sampler);
   auto result = runner.Run(400, [&](uint32_t tid, uint64_t i, common::ExecContext& ctx) {
     if (tid == 1) {
       return scrub.Step(ctx);

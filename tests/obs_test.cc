@@ -1,22 +1,24 @@
-// Tests for the observability layer (src/obs): trace buffer + spans, metrics
-// registry, JSON writer/parser, the bench-report schema validator, and the
-// counter-accounting invariants the registered-counter registry makes
-// checkable across every filesystem.
+// Tests for the observability layer (src/obs): the profiler's zone ring and
+// op scopes, JSON writer/parser, the bench-report schema validator, the
+// Chrome-trace export, and the counter-accounting invariants the
+// registered-counter table makes checkable across every filesystem.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/exec_context.h"
+#include "src/common/prof_zone.h"
 #include "src/fs/registry.h"
 #include "src/obs/chrome_trace.h"
 #include "src/obs/gauges.h"
 #include "src/obs/json.h"
-#include "src/obs/metrics.h"
+#include "src/obs/op_scope.h"
+#include "src/obs/profiler.h"
 #include "src/obs/report.h"
-#include "src/obs/trace.h"
 #include "src/pmem/device.h"
 #include "src/vfs/op_batch.h"
 
@@ -25,153 +27,153 @@ namespace {
 using common::ExecContext;
 using common::kMiB;
 
-// ---- trace buffer -----------------------------------------------------------
+using common::ProfLayer;
 
-TEST(TraceBufferTest, RecordsEventsAndAggregates) {
-  obs::TraceBuffer trace(/*capacity=*/8);
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 0, 100, 150, 4});
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 1, 200, 230, 2});
-  trace.Record(obs::TraceEvent{obs::SpanCat::kDataCopy, 0, 300, 400, 4096});
-
-  EXPECT_EQ(trace.recorded(), 3u);
-  EXPECT_EQ(trace.Count(obs::SpanCat::kAllocation), 2u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kAllocation), 80u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kDataCopy), 100u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kJournalCommit), 0u);
-
-  const auto events = trace.Events();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].start_ns, 100u);
-  EXPECT_EQ(events[2].cat, obs::SpanCat::kDataCopy);
-  EXPECT_EQ(events[2].duration_ns(), 100u);
+// Runs one zone of `layer` spanning [enter_ns, exit_ns) on `ctx`'s clock.
+void RunZone(ExecContext& ctx, ProfLayer layer, uint64_t enter_ns, uint64_t exit_ns) {
+  ctx.clock.SetNs(enter_ns);
+  common::ProfileZone zone(ctx, layer);
+  ctx.clock.SetNs(exit_ns);
 }
 
-TEST(TraceBufferTest, RingWrapKeepsAggregatesOverAllEvents) {
-  obs::TraceBuffer trace(/*capacity=*/4);
-  for (uint64_t i = 0; i < 10; i++) {
-    trace.Record(obs::TraceEvent{obs::SpanCat::kFaultHandling, 0, i * 10, i * 10 + 5, 0});
+// Modeled ns of one folded stack (0 when absent).
+uint64_t FoldedNs(const obs::Profiler& profiler, const std::string& stack) {
+  for (const obs::Profiler::FoldedFrame& frame : profiler.FoldedStacks()) {
+    if (frame.stack == stack) {
+      return frame.ns;
+    }
   }
-  // The ring only retains the 4 newest events...
-  const auto events = trace.Events();
+  return 0;
+}
+
+// ---- profiler zone ring -----------------------------------------------------
+
+TEST(ProfilerZoneRing, RecordsClosedZonesOfSampledOps) {
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ExecContext cpu0(0);
+  ExecContext cpu1(1);
+  cpu0.AttachProfiler(&profiler);
+  cpu1.AttachProfiler(&profiler);
+  RunZone(cpu0, ProfLayer::kAllocator, 100, 150);
+  RunZone(cpu1, ProfLayer::kAllocator, 200, 230);
+  cpu0.clock.SetNs(280);
+  {
+    // Nested zones close innermost first.
+    common::ProfileZone outer(cpu0, ProfLayer::kFsCore);
+    RunZone(cpu0, ProfLayer::kDevice, 300, 400);
+    cpu0.clock.SetNs(420);
+  }
+
+  const std::vector<obs::Profiler::ZoneEvent> events = profiler.ZoneEvents();
   ASSERT_EQ(events.size(), 4u);
-  EXPECT_EQ(events.front().start_ns, 60u);  // oldest retained
-  EXPECT_EQ(events.back().start_ns, 90u);   // newest
-  // ...but the aggregates cover everything ever recorded.
-  EXPECT_EQ(trace.recorded(), 10u);
-  EXPECT_EQ(trace.Count(obs::SpanCat::kFaultHandling), 10u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kFaultHandling), 50u);
+  EXPECT_EQ(events[0].cpu, 0u);
+  EXPECT_EQ(events[0].layer, ProfLayer::kAllocator);
+  EXPECT_EQ(events[0].enter_ns, 100u);
+  EXPECT_EQ(events[0].exit_ns, 150u);
+  EXPECT_EQ(events[1].cpu, 1u);
+  EXPECT_EQ(events[2].layer, ProfLayer::kDevice);
+  EXPECT_EQ(events[2].exit_ns - events[2].enter_ns, 100u);
+  EXPECT_EQ(events[3].layer, ProfLayer::kFsCore);
+  EXPECT_EQ(events[3].enter_ns, 280u);
+  EXPECT_EQ(events[3].exit_ns, 420u);
+  // The folded stacks aggregate the same zones by exclusive time.
+  EXPECT_EQ(FoldedNs(profiler, "allocator"), 80u);
+  EXPECT_EQ(FoldedNs(profiler, "fscore;device"), 100u);
+  EXPECT_EQ(FoldedNs(profiler, "fscore"), 40u);
 }
 
-TEST(TraceBufferTest, ClearAfterWrapResetsRingAndAggregates) {
-  obs::TraceBuffer trace(/*capacity=*/4);
-  for (uint64_t i = 0; i < 9; i++) {
-    trace.Record(obs::TraceEvent{obs::SpanCat::kDataCopy, 0, i * 10, i * 10 + 3, 0});
+TEST(ProfilerZoneRing, RingWrapKeepsNewestZones) {
+  constexpr size_t kCapacity = obs::EventRing<obs::Profiler::ZoneEvent>::kEventCapacity;
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ExecContext ctx;
+  ctx.AttachProfiler(&profiler);
+  for (uint64_t i = 0; i < kCapacity + 10; i++) {
+    RunZone(ctx, ProfLayer::kFsCore, i * 10, i * 10 + 5);
   }
-  ASSERT_EQ(trace.recorded(), 9u);
-  trace.Clear();
-  // Both the ring and the running aggregates start over.
-  EXPECT_TRUE(trace.Events().empty());
-  EXPECT_EQ(trace.recorded(), 0u);
-  EXPECT_EQ(trace.Count(obs::SpanCat::kDataCopy), 0u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kDataCopy), 0u);
-  // And the wrap cursor is rewound: new events land at the front, in order.
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 1, 500, 510, 0});
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 1, 600, 620, 0});
-  const auto events = trace.Events();
+  // The ring only retains the newest kCapacity zones...
+  const std::vector<obs::Profiler::ZoneEvent> events = profiler.ZoneEvents();
+  ASSERT_EQ(events.size(), kCapacity);
+  EXPECT_EQ(events.front().enter_ns, 100u);  // oldest retained
+  EXPECT_EQ(events.back().enter_ns, (kCapacity + 9) * 10);
+  // ...but the folded stacks cover every zone ever closed.
+  EXPECT_EQ(FoldedNs(profiler, "fscore"), (kCapacity + 10) * 5);
+}
+
+TEST(ProfilerZoneRing, ResetAfterWrapRestartsRing) {
+  constexpr size_t kCapacity = obs::EventRing<obs::Profiler::ZoneEvent>::kEventCapacity;
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ExecContext ctx;
+  ctx.AttachProfiler(&profiler);
+  for (uint64_t i = 0; i < kCapacity + 1; i++) {
+    RunZone(ctx, ProfLayer::kDevice, i * 10, i * 10 + 3);
+  }
+  profiler.ResetSamples();
+  // Both the ring and the folded stacks start over...
+  EXPECT_TRUE(profiler.ZoneEvents().empty());
+  EXPECT_TRUE(profiler.FoldedStacks().empty());
+  // ...and the wrap cursor is rewound: new zones land at the front, in order.
+  RunZone(ctx, ProfLayer::kAllocator, 500'000, 500'010);
+  RunZone(ctx, ProfLayer::kAllocator, 600'000, 600'020);
+  const std::vector<obs::Profiler::ZoneEvent> events = profiler.ZoneEvents();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].start_ns, 500u);
-  EXPECT_EQ(events[1].start_ns, 600u);
-  EXPECT_EQ(trace.TotalNs(obs::SpanCat::kAllocation), 30u);
+  EXPECT_EQ(events[0].enter_ns, 500'000u);
+  EXPECT_EQ(events[1].enter_ns, 600'000u);
+  EXPECT_EQ(FoldedNs(profiler, "allocator"), 30u);
 }
 
-TEST(ScopedSpanTest, NoOpWithoutSinkRecordsWithSink) {
+TEST(ProfileZoneTest, NoOpWithoutProfilerRecordsWithProfiler) {
   ExecContext ctx;
-  {
-    obs::ScopedSpan span(ctx, obs::SpanCat::kAllocation, 1);
-    ctx.clock.Advance(500);
-  }  // no trace attached: nothing to record, nothing to crash on
+  RunZone(ctx, ProfLayer::kAllocator, 0, 500);  // no profiler: nothing opens
+  EXPECT_EQ(ctx.zones.layer_ns[static_cast<size_t>(ProfLayer::kAllocator)], 0u);
 
-  obs::TraceBuffer trace;
-  ctx.AttachTrace(&trace);
-  {
-    obs::ScopedSpan span(ctx, obs::SpanCat::kAllocation, 7);
-    ctx.clock.Advance(250);
-  }
-  ctx.AttachTrace(nullptr);
-  ASSERT_EQ(trace.recorded(), 1u);
-  const auto events = trace.Events();
-  EXPECT_EQ(events[0].cat, obs::SpanCat::kAllocation);
-  EXPECT_EQ(events[0].duration_ns(), 250u);
-  EXPECT_EQ(events[0].arg, 7u);
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ctx.AttachProfiler(&profiler);
+  RunZone(ctx, ProfLayer::kAllocator, 1000, 1250);
+  ctx.AttachProfiler(nullptr);
+  const std::vector<obs::Profiler::ZoneEvent> events = profiler.ZoneEvents();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].layer, ProfLayer::kAllocator);
+  EXPECT_EQ(events[0].exit_ns - events[0].enter_ns, 250u);
 }
 
-TEST(SpanCatTest, EveryCategoryHasAName) {
-  for (size_t c = 0; c < obs::kNumSpanCats; c++) {
-    EXPECT_FALSE(std::string_view(obs::SpanCatName(static_cast<obs::SpanCat>(c))).empty());
+TEST(ProfLayerTest, EveryLayerHasAName) {
+  for (size_t l = 0; l < common::kNumProfLayers; l++) {
+    const std::string_view name = common::ProfLayerName(static_cast<ProfLayer>(l));
+    EXPECT_FALSE(name.empty());
+    EXPECT_NE(name, "?");
   }
 }
 
-// ---- metrics registry -------------------------------------------------------
+// ---- op scopes --------------------------------------------------------------
 
-TEST(MetricsRegistryTest, RecordsOpsAndCounters) {
-  obs::MetricsRegistry registry;
-  registry.RecordOp("winefs", "pwrite", 1000);
-  registry.RecordOp("winefs", "pwrite", 3000);
-  registry.RecordOp("winefs", "fsync", 500);
-  registry.AddCounter("winefs", "custom", 2);
-  registry.AddCounter("winefs", "custom", 3);
-
-  EXPECT_EQ(registry.FsNames(), std::vector<std::string>{"winefs"});
-  EXPECT_EQ(registry.OpsFor("winefs"), (std::vector<std::string>{"fsync", "pwrite"}));
-  EXPECT_EQ(registry.OpHistogram("winefs", "pwrite").count(), 2u);
-  EXPECT_EQ(registry.Counter("winefs", "custom"), 5u);
-  EXPECT_EQ(registry.Counter("winefs", "absent"), 0u);
-
-  registry.Clear();
-  EXPECT_TRUE(registry.FsNames().empty());
-}
-
-TEST(MetricsRegistryTest, MergeCountersUsesRegisteredNames) {
-  common::PerfCounters counters;
-  counters.alloc_requests = 10;
-  counters.aligned_allocs = 7;
-  obs::MetricsRegistry registry;
-  registry.MergeCounters("fsA", counters);
-  registry.MergeCounters("fsA", counters);
-
-  EXPECT_EQ(registry.Counter("fsA", "alloc_requests"), 20u);
-  EXPECT_EQ(registry.Counter("fsA", "aligned_allocs"), 14u);
-  // Every registered field shows up, even when zero.
-  EXPECT_EQ(registry.CountersFor("fsA").size(), common::kNumCounterFields);
-}
-
-TEST(OpScopeTest, FeedsRegistryThroughContext) {
+TEST(OpScopeTest, FeedsProfilerThroughContext) {
   ExecContext ctx;
-  obs::MetricsRegistry registry;
-  ctx.AttachMetrics(&registry);
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ctx.AttachProfiler(&profiler);
   {
-    obs::OpScope op(ctx, "testfs", "open");
+    obs::OpScope op(ctx, "open");
     ctx.clock.Advance(1234);
   }
-  ctx.AttachMetrics(nullptr);
-  const auto hist = registry.OpHistogram("testfs", "open");
-  EXPECT_EQ(hist.count(), 1u);
-  // The histogram is log-bucketed (~4% wide buckets), so the median comes
-  // back as the sample's bucket upper bound.
-  EXPECT_GE(hist.MedianNanos(), 1234u);
-  EXPECT_LE(hist.MedianNanos(), 1234u * 106 / 100);
+  ctx.AttachProfiler(nullptr);
+  const std::vector<obs::Profiler::OpAttribution> attr = profiler.Attribution();
+  ASSERT_EQ(attr.size(), 1u);
+  EXPECT_EQ(attr[0].op, "open");
+  EXPECT_EQ(attr[0].ops_sampled, 1u);
+  // The extremes are sample-exact; the root zone is fscore by default.
+  EXPECT_EQ(attr[0].total.MaxNanos(), 1234u);
+  EXPECT_EQ(attr[0].layers[static_cast<size_t>(ProfLayer::kFsCore)].MaxNanos(), 1234u);
 }
 
-// Each syscall records under its own op name, on the scalar path and in the
-// native batch engine alike: a readdir is a "readdir" row, never a "stat".
+// Each syscall is attributed under its own op name, on the scalar path and in
+// the native batch engine alike: a readdir is a "readdir" row, never a "stat".
 TEST(OpScopeTest, ReadDirAndStatRecordUnderTheirOwnNames) {
   pmem::PmemDevice device(64 * kMiB);
   auto fs = fsreg::Create("winefs", &device);
   ExecContext ctx;
   ASSERT_TRUE(fs->Mkfs(ctx).ok());
   ASSERT_TRUE(fs->Mkdir(ctx, "/d").ok());
-  obs::MetricsRegistry registry;
-  ctx.AttachMetrics(&registry);
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ctx.AttachProfiler(&profiler);
   ASSERT_TRUE(fs->ReadDir(ctx, "/d").ok());
   ASSERT_TRUE(fs->ReadDir(ctx, "/").ok());
   ASSERT_TRUE(fs->Stat(ctx, "/d").ok());
@@ -181,9 +183,13 @@ TEST(OpScopeTest, ReadDirAndStatRecordUnderTheirOwnNames) {
   std::vector<vfs::OpResult> results;
   fs->ExecuteBatch(ctx, batch, results);
   ASSERT_TRUE(results[0].ok() && results[1].ok());
-  ctx.AttachMetrics(nullptr);
-  EXPECT_EQ(registry.OpHistogram("winefs", "readdir").count(), 3u);
-  EXPECT_EQ(registry.OpHistogram("winefs", "stat").count(), 2u);
+  ctx.AttachProfiler(nullptr);
+  std::map<std::string, uint64_t> sampled;
+  for (const obs::Profiler::OpAttribution& op : profiler.Attribution()) {
+    sampled[op.op] = op.ops_sampled;
+  }
+  EXPECT_EQ(sampled["readdir"], 3u);
+  EXPECT_EQ(sampled["stat"], 2u);
 }
 
 // ---- JSON writer/parser -----------------------------------------------------
@@ -347,11 +353,17 @@ TEST(BenchReportTest, ValidatorRejectsMalformedTimeSeriesPoints) {
   EXPECT_TRUE(obs::ValidateBenchReportJson(good).ok());
 }
 
-TEST(BenchReportTest, SpanAndLatencySectionsValidate) {
+TEST(BenchReportTest, LatencyAndAttributionSectionsValidate) {
   obs::BenchReport report = MakeValidReport();
-  obs::TraceBuffer trace;
-  trace.Record(obs::TraceEvent{obs::SpanCat::kJournalCommit, 0, 0, 42, 0});
-  report.AddSpans("winefs", trace);
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ExecContext ctx;
+  ctx.AttachProfiler(&profiler);
+  {
+    obs::OpScope op(ctx, "fsync");
+    RunZone(ctx, ProfLayer::kJournal, 0, 42);
+  }
+  ctx.AttachProfiler(nullptr);
+  report.AddAttribution("winefs", profiler);
   common::LatencyHistogram hist;
   hist.Record(100);
   hist.Record(300);
@@ -363,7 +375,10 @@ TEST(BenchReportTest, SpanAndLatencySectionsValidate) {
   auto parsed = obs::JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok());
   const obs::JsonValue& row = parsed->Find("results")->array[0];
-  EXPECT_EQ(row.Find("spans_ns")->Find("journal_commit")->number_value, 42.0);
+  const obs::JsonValue* fsync = row.Find("attribution")->Find("fsync");
+  ASSERT_NE(fsync, nullptr);
+  EXPECT_EQ(fsync->Find("ops_sampled")->number_value, 1.0);
+  EXPECT_EQ(fsync->Find("layers")->Find("journal")->Find("max")->number_value, 42.0);
   EXPECT_EQ(row.Find("latency_ns")->Find("pwrite")->Find("count")->number_value, 2.0);
 }
 
@@ -451,38 +466,43 @@ TEST(TimeSeriesSamplerTest, DecimatesAndDoublesPeriodAtCapacity) {
 TEST(TimeSeriesSamplerTest, ContextResetClearsSamplesKeepsProviders) {
   ExecContext ctx;
   obs::TimeSeriesSampler sampler(/*period_ns=*/1000);
-  obs::TraceBuffer trace;
+  obs::Profiler profiler(/*sample_shift=*/0);
   CountingProvider provider;
   sampler.AddProvider(&provider);
   ctx.AttachSampler(&sampler);
-  ctx.AttachTrace(&trace);
+  ctx.AttachProfiler(&profiler);
   sampler.SampleNow(ctx);
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 0, 0, 10, 0});
+  RunZone(ctx, ProfLayer::kAllocator, 0, 10);
   ASSERT_FALSE(sampler.series().empty());
+  ASSERT_FALSE(profiler.ZoneEvents().empty());
 
   // Reset between per-fs bench rows: every attached sink restarts so samples
   // never bleed from one filesystem into the next row.
   ctx.Reset();
   EXPECT_TRUE(sampler.series().empty());
   EXPECT_EQ(sampler.samples_taken(), 0u);
-  EXPECT_EQ(trace.recorded(), 0u);
+  EXPECT_TRUE(profiler.ZoneEvents().empty());
 
   // Providers stay registered: the next sample polls them again.
   sampler.SampleNow(ctx);
   EXPECT_EQ(provider.polls(), 2);
   ctx.AttachSampler(nullptr);
-  ctx.AttachTrace(nullptr);
+  ctx.AttachProfiler(nullptr);
 }
 
 // ---- chrome trace export ----------------------------------------------------
 
 TEST(ChromeTraceTest, EmitsPerCpuTracksAndCategories) {
-  obs::TraceBuffer trace;
-  // Two categories across two simulated CPUs; ts/dur are microseconds in the
+  obs::Profiler profiler(/*sample_shift=*/0);
+  ExecContext cpu0(0);
+  ExecContext cpu1(1);
+  cpu0.AttachProfiler(&profiler);
+  cpu1.AttachProfiler(&profiler);
+  // Two layers across two simulated CPUs; ts/dur are microseconds in the
   // export (1500ns -> 1.5us).
-  trace.Record(obs::TraceEvent{obs::SpanCat::kAllocation, 0, 1000, 2500, 7});
-  trace.Record(obs::TraceEvent{obs::SpanCat::kJournalCommit, 1, 3000, 6000, 64});
-  const std::string json = obs::ChromeTraceJson({obs::NamedTrace{"winefs", &trace}});
+  RunZone(cpu0, ProfLayer::kAllocator, 1000, 2500);
+  RunZone(cpu1, ProfLayer::kJournal, 3000, 6000);
+  const std::string json = obs::ChromeTraceJson({obs::NamedProfiler{"winefs", &profiler}});
 
   auto parsed = obs::JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().message();
@@ -503,23 +523,27 @@ TEST(ChromeTraceTest, EmitsPerCpuTracksAndCategories) {
   // process_name for the fs + thread_name per CPU track.
   EXPECT_GE(metadata, 3u);
   ASSERT_EQ(complete.size(), 2u);
-  EXPECT_EQ(complete[0]->Find("cat")->string_value, "allocation");
+  EXPECT_EQ(complete[0]->Find("cat")->string_value, "allocator");
   EXPECT_EQ(complete[0]->Find("ts")->number_value, 1.0);
   EXPECT_EQ(complete[0]->Find("dur")->number_value, 1.5);
   EXPECT_EQ(complete[0]->Find("tid")->number_value, 0.0);
-  EXPECT_EQ(complete[1]->Find("cat")->string_value, "journal_commit");
+  EXPECT_EQ(complete[1]->Find("cat")->string_value, "journal");
   EXPECT_EQ(complete[1]->Find("tid")->number_value, 1.0);
-  // Both spans belong to the same filesystem "process".
+  // Both zones belong to the same filesystem "process".
   EXPECT_EQ(complete[0]->Find("pid")->number_value, complete[1]->Find("pid")->number_value);
 }
 
 TEST(ChromeTraceTest, SeparatesFilesystemsIntoProcesses) {
-  obs::TraceBuffer a;
-  obs::TraceBuffer b;
-  a.Record(obs::TraceEvent{obs::SpanCat::kDataCopy, 0, 0, 100, 0});
-  b.Record(obs::TraceEvent{obs::SpanCat::kDataCopy, 0, 0, 100, 0});
-  const std::string json =
-      obs::ChromeTraceJson({obs::NamedTrace{"ext4-dax", &a}, obs::NamedTrace{"winefs", &b}});
+  obs::Profiler a(/*sample_shift=*/0);
+  obs::Profiler b(/*sample_shift=*/0);
+  ExecContext ctx_a;
+  ExecContext ctx_b;
+  ctx_a.AttachProfiler(&a);
+  ctx_b.AttachProfiler(&b);
+  RunZone(ctx_a, ProfLayer::kDevice, 0, 100);
+  RunZone(ctx_b, ProfLayer::kDevice, 0, 100);
+  const std::string json = obs::ChromeTraceJson(
+      {obs::NamedProfiler{"ext4-dax", &a}, obs::NamedProfiler{"winefs", &b}});
   auto parsed = obs::JsonValue::Parse(json);
   ASSERT_TRUE(parsed.ok());
   std::vector<double> pids;
@@ -534,9 +558,8 @@ TEST(ChromeTraceTest, SeparatesFilesystemsIntoProcesses) {
 
 // ---- counter-accounting invariants across all filesystems -------------------
 
-// Runs a small metadata + data workload and folds the counters into a
-// registry, as the benches do.
-void RunAccountingWorkload(const std::string& fs_name, obs::MetricsRegistry& registry) {
+// Runs a small metadata + data workload and adds its counters to `out`.
+void RunAccountingWorkload(const std::string& fs_name, common::PerfCounters& out) {
   pmem::PmemDevice dev(64 * kMiB);
   auto fs = fsreg::Create(fs_name, &dev, /*num_cpus=*/2);
   ASSERT_NE(fs, nullptr) << fs_name;
@@ -557,29 +580,29 @@ void RunAccountingWorkload(const std::string& fs_name, obs::MetricsRegistry& reg
     ASSERT_TRUE(fs->Fsync(ctx, *fd).ok()) << fs_name;
     ASSERT_TRUE(fs->Close(ctx, *fd).ok()) << fs_name;
   }
-  registry.MergeCounters(fs_name, ctx.counters);
+  out.Add(ctx.counters);
 }
 
 TEST(CounterAccountingTest, InvariantsHoldAcrossAllFilesystems) {
-  obs::MetricsRegistry registry;
+  std::map<std::string, common::PerfCounters> counters;
   std::vector<std::string> lineup = fsreg::RelaxedLineup();
   for (const std::string& fs_name : fsreg::StrictLineup()) {
     lineup.push_back(fs_name);
   }
   for (const std::string& fs_name : lineup) {
     SCOPED_TRACE(fs_name);
-    RunAccountingWorkload(fs_name, registry);
+    common::PerfCounters& c = counters[fs_name];
+    RunAccountingWorkload(fs_name, c);
     // Aligned allocations are a subset of all allocation requests.
-    EXPECT_LE(registry.Counter(fs_name, "aligned_allocs"),
-              registry.Counter(fs_name, "alloc_requests"));
-    EXPECT_GT(registry.Counter(fs_name, "alloc_requests"), 0u);
+    EXPECT_LE(c.aligned_allocs, c.alloc_requests);
+    EXPECT_GT(c.alloc_requests, 0u);
   }
 
   // Strict WineFS journals metadata (and small data overwrites): the undo
   // journal must have seen bytes.
-  EXPECT_GT(registry.Counter("winefs", "journal_bytes"), 0u);
+  EXPECT_GT(counters["winefs"].journal_bytes, 0u);
   // Strict NOVA is log-structured/CoW for data: overwrites relocate bytes.
-  EXPECT_GT(registry.Counter("nova", "cow_bytes"), 0u);
+  EXPECT_GT(counters["nova"].cow_bytes, 0u);
 }
 
 }  // namespace

@@ -19,7 +19,6 @@
 #include "src/common/sim_mutex.h"
 #include "src/common/units.h"
 #include "src/fs/registry.h"
-#include "src/obs/metrics.h"
 #include "src/obs/profiler.h"
 #include "src/vfs/op_batch.h"
 #include "src/vmem/mmap_engine.h"
@@ -116,14 +115,6 @@ TEST(ProfilerLockSites, SimMutexWaitMatchesHandComputedOverlap) {
   EXPECT_EQ(profiler.LockEvents()[0].wait_ns, 500u);
   EXPECT_EQ(profiler.LockEvents()[0].hold_ns, 200u);
 
-  // The metrics-registry surface for the previously write-only wait stats.
-  obs::MetricsRegistry registry;
-  profiler.PublishTo(registry, "testfs");
-  EXPECT_EQ(registry.Counter("testfs", "lock_acquisitions"), 2u);
-  EXPECT_EQ(registry.Counter("testfs", "lock_wait_total_ns"), 500u);
-  EXPECT_EQ(registry.Counter("testfs", "lock_hold_total_ns"), 1200u);
-  EXPECT_EQ(registry.Counter("testfs", "lock_wait_max_ns"), 500u);
-
   // ResetWaitStats clears the mutex's own total; the profiler's aggregates
   // drop through ResetSamples but registered site names survive.
   mutex.ResetWaitStats();
@@ -177,7 +168,7 @@ TEST(ProfilerZones, ExclusiveTimeAndFoldedStacks) {
   EXPECT_EQ(ctx.zones.layer_ns[static_cast<size_t>(common::ProfLayer::kVfs)], 160u);
   EXPECT_EQ(ctx.zones.layer_ns[static_cast<size_t>(common::ProfLayer::kDevice)], 40u);
 
-  profiler.EndOp(ctx, "testfs", "testop");
+  profiler.EndOp(ctx, "testop");
   // The flush zeroes the context's buckets and lands in the attribution.
   EXPECT_EQ(ctx.zones.layer_ns[static_cast<size_t>(common::ProfLayer::kVfs)], 0u);
   const std::vector<obs::Profiler::OpAttribution> attr = profiler.Attribution();
@@ -283,23 +274,52 @@ TEST(ProfilerZones, MappedCallEndsItsOwnOp) {
   EXPECT_EQ(by_op["mmap_lines"].total.MaxNanos(), took[4]);
 }
 
-// Per-op sampling: AttachProfiler mirrors the profiler's mask into the
-// context, the first op after attach is sampled, and Tick arms exactly
-// 1-in-2^shift of the following ops.
+// Per-op sampling: the gaps between sampled ops are drawn at random with mean
+// 2^shift, seeded per attach, so an op stream with a short period cannot
+// alias with the sampler. Checks the mean rate, that a seed fixes the sampled
+// positions, that every position of an 8-op cycle (fig10's batch, opperf's
+// op mix) gets its share, and that shift 0 samples every op.
 TEST(ProfilerZones, TickSamplingCadence) {
-  obs::Profiler profiler(/*sample_shift=*/2);  // 1-in-4
+  constexpr int kOps = 1 << 20;
+  constexpr uint32_t kShift = 4;  // 1-in-16 on average
+  auto sampled_positions = [](uint64_t seed, uint32_t shift) {
+    common::ZoneState zones;
+    zones.StartSampling(seed, shift);
+    std::vector<int> positions;
+    for (int i = 0; i < kOps; i++) {
+      if (zones.Tick()) {
+        positions.push_back(i);
+      }
+    }
+    return positions;
+  };
+
+  const std::vector<int> a = sampled_positions(1, kShift);
+  const double expected = static_cast<double>(kOps) / (1u << kShift);
+  EXPECT_NEAR(static_cast<double>(a.size()), expected, expected * 0.02);
+  EXPECT_EQ(sampled_positions(1, kShift), a);  // deterministic per seed
+  EXPECT_NE(sampled_positions(2, kShift), a);  // and different across seeds
+
+  std::vector<int> per_slot(8, 0);
+  for (int position : a) {
+    per_slot[position % 8]++;
+  }
+  for (int slot = 0; slot < 8; slot++) {
+    EXPECT_NEAR(per_slot[slot], static_cast<double>(a.size()) / 8, a.size() / 8 * 0.05)
+        << "slot " << slot;
+  }
+
+  EXPECT_EQ(sampled_positions(7, 0).size(), static_cast<size_t>(kOps));
+
+  // The profiler hands every attach a fresh seed, and its shift.
+  obs::Profiler profiler(/*sample_shift=*/kShift);
   ExecContext ctx;
   ctx.AttachProfiler(&profiler);
-  EXPECT_EQ(ctx.zones.sample_mask, 3u);
-  EXPECT_TRUE(ctx.zones.active);
+  const common::ZoneState first = ctx.zones;
+  ctx.AttachProfiler(&profiler);
+  EXPECT_NE(ctx.zones.rng, first.rng);
+  EXPECT_EQ(ctx.zones.gap_span, (2u << kShift) - 1);
 
-  int sampled = 0;
-  for (int i = 0; i < 16; i++) {
-    if (ctx.zones.Tick()) {
-      sampled++;
-    }
-  }
-  EXPECT_EQ(sampled, 4);  // the armed first op, then every 4th (ops 4, 8, 12)
   // Zones stay dead while inactive: no frames open, no time accumulates.
   ctx.zones.active = false;
   {
@@ -350,7 +370,7 @@ TEST_P(ProfilerFsTest, ModeledOutputBitIdenticalWithProfilerAttached) {
     };
     wload::ParallelRunner runner(kThreads, kCpus, setup.clock.NowNs());
     if (profiler != nullptr) {
-      runner.SetObservers(nullptr, nullptr, nullptr, profiler);
+      runner.SetObservers(nullptr, profiler);
     }
     return runner.Run(kOpsPerThread, op).run;
   };

@@ -5,9 +5,9 @@
 #include <cstring>
 
 #include "src/common/units.h"
+#include "src/obs/profiler.h"
 #include "src/pmem/device.h"
 #include "src/vmem/llc_cache.h"
-#include "src/obs/trace.h"
 #include "src/vmem/mmap_engine.h"
 #include "src/vmem/page_table.h"
 #include "src/vmem/tlb.h"
@@ -182,18 +182,29 @@ TEST_F(MmapEngineTest, HugeFaultsAreCheaperInTotal) {
   auto huge_map = engine_.Mmap(&huge_handler, 1, 2 * common::kMiB, true);
   auto base_map = engine_.Mmap(&base_handler, 2, 2 * common::kMiB, true);
   std::vector<uint8_t> buf(2 * common::kMiB, 1);
-  obs::TraceBuffer huge_trace;
-  obs::TraceBuffer base_trace;
+  obs::Profiler huge_profiler(/*sample_shift=*/0);
+  obs::Profiler base_profiler(/*sample_shift=*/0);
   ExecContext huge_ctx(0);
-  huge_ctx.AttachTrace(&huge_trace);
+  huge_ctx.AttachProfiler(&huge_profiler);
   ExecContext base_ctx(1);
-  base_ctx.AttachTrace(&base_trace);
+  base_ctx.AttachProfiler(&base_profiler);
   ASSERT_TRUE(huge_map->Write(huge_ctx, 0, buf.data(), buf.size()).ok());
   ASSERT_TRUE(base_map->Write(base_ctx, 0, buf.data(), buf.size()).ok());
   // Fig 2: with hugepages the 2 MiB write is ~2x faster end to end.
   EXPECT_LT(huge_ctx.clock.NowNs() * 3 / 2, base_ctx.clock.NowNs());
-  EXPECT_GT(base_trace.TotalNs(obs::SpanCat::kFaultHandling),
-            huge_trace.TotalNs(obs::SpanCat::kFaultHandling) * 10);
+  // Fault handling is the write's fscore zone (the scripted handler opens no
+  // zones of its own, so it is the one "mmu;fscore" stack).
+  auto fault_ns = [](const obs::Profiler& profiler) {
+    uint64_t ns = 0;
+    for (const obs::Profiler::FoldedFrame& frame : profiler.FoldedStacks()) {
+      if (frame.stack == "mmu;fscore") {
+        ns += frame.ns;
+      }
+    }
+    return ns;
+  };
+  EXPECT_GT(fault_ns(huge_profiler), 0u);
+  EXPECT_GT(fault_ns(base_profiler), fault_ns(huge_profiler) * 10);
 }
 
 TEST_F(MmapEngineTest, ReadBackMatchesWrite) {
