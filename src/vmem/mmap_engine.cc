@@ -249,7 +249,7 @@ Result<uint64_t> MappedFile::TranslateMiss(ExecContext& ctx, uint64_t offset, bo
 
 Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uint64_t len) {
   obs::OpScope op_scope(ctx, "mmap_write", common::ProfLayer::kMmu);
-  if (offset + len > length_) {
+  if (offset > length_ || len > length_ - offset) {
     return Status(ErrorCode::kInvalidArgument);
   }
   const uint8_t* cursor = static_cast<const uint8_t*>(src);
@@ -295,7 +295,7 @@ Status MappedFile::Write(ExecContext& ctx, uint64_t offset, const void* src, uin
 
 Status MappedFile::Read(ExecContext& ctx, uint64_t offset, void* dst, uint64_t len) {
   obs::OpScope op_scope(ctx, "mmap_read", common::ProfLayer::kMmu);
-  if (offset + len > length_) {
+  if (offset > length_ || len > length_ - offset) {
     return Status(ErrorCode::kInvalidArgument);
   }
   uint8_t* cursor = static_cast<uint8_t*>(dst);
@@ -412,8 +412,8 @@ Status MappedFile::AccessLines(ExecContext& ctx, LineOp* ops, size_t count, bool
   // machinery.
   //
   // Software pipeline: on a mapping beyond the host caches each op waits out
-  // two host misses, its device line and its LLC set block. While op i is
-  // modeled, HintLine prefetches both for op i + kLineLookahead. Op 0 gets
+  // host misses on its device line and its LLC set's two lines. While op i is
+  // modeled, HintLine prefetches all three for op i + kLineLookahead. Op 0 gets
   // no hint, since it is modeled at once and a hint could not land in time;
   // so a one-op batch issues none.
   obs::OpScope op_scope(ctx, "mmap_lines", common::ProfLayer::kMmu);

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
 
 #include "src/common/units.h"
 
@@ -71,6 +74,9 @@ FlatLruSet::FlatLruSet(uint32_t capacity)
 }
 
 void FlatLruSet::Insert(uint64_t key) {
+  if (capacity_ == 0) {
+    return;  // a 0-entry set holds nothing
+  }
   const uint32_t b = index_.Find(key);
   if (b != SlotIndex::kNil) {
     MoveToFront(index_.SlotAt(b));
@@ -114,7 +120,11 @@ void FlatLruSet::Clear() {
 }
 
 SmallLruSet::SmallLruSet(uint32_t capacity) : capacity_(capacity) {
-  assert(capacity_ <= kMaxCapacity);
+  if (capacity_ > kMaxCapacity) {
+    std::fprintf(stderr, "vmem::SmallLruSet: capacity %" PRIu32 " exceeds %" PRIu32 "\n",
+                 capacity_, kMaxCapacity);
+    std::abort();
+  }
 }
 
 void SmallLruSet::Insert(uint64_t key) {

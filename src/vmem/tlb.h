@@ -64,7 +64,8 @@ class SlotIndex {
 
 // Flat LRU set: entries live in a fixed slot array linked into an intrusive
 // MRU->LRU list by index; a SlotIndex maps key -> slot. All storage is
-// allocated at construction, so Touch/Insert/Erase never allocate.
+// allocated at construction, so Touch/Insert/Erase never allocate. A
+// 0-capacity set holds nothing, like a 0-capacity SmallLruSet.
 class FlatLruSet {
  public:
   explicit FlatLruSet(uint32_t capacity);
@@ -147,6 +148,7 @@ class SmallLruSet {
  public:
   static constexpr uint32_t kMaxCapacity = 64;
 
+  // Aborts with a message if capacity > kMaxCapacity, in every build type.
   explicit SmallLruSet(uint32_t capacity);
 
   bool Touch(uint64_t key) {

@@ -7,8 +7,10 @@
 // plain array of {tag, lru, valid} ways scanned in full on every access. The
 // flat structures in src/vmem must make exactly the same decisions — the same
 // TlbResult for every lookup, the same hit/miss for every LLC access, and the
-// same final LLC state (StateHash mixes the same fields in the same order).
-// Tests replay one access stream through both and compare.
+// same final LLC state (StateHash mixes the same fields in the same order:
+// each valid way's tag and recency rank, which vmem::LlcCache keeps as a
+// permutation and this oracle derives from its stamps). Tests replay one
+// access stream through both and compare.
 #ifndef TESTS_REF_SIM_H_
 #define TESTS_REF_SIM_H_
 
@@ -40,7 +42,7 @@ class ReferenceLruSet {
   }
 
   void Insert(uint64_t key) {
-    if (Touch(key)) {
+    if (capacity_ == 0 || Touch(key)) {
       return;
     }
     if (order_.size() >= capacity_) {
@@ -125,7 +127,9 @@ class ReferenceTlb {
 
 // Set-associative LLC on 64 B lines with vmem::LlcCache's policy: a hit
 // refreshes the way's stamp; a miss fills the last invalid way, or else the
-// lowest-indexed way with the smallest stamp.
+// lowest-indexed way with the smallest stamp. Every valid way's stamp comes
+// from a distinct tick since the last Flush, so that way is the unique least
+// recent one: the tail of vmem::LlcCache's recency permutation.
 class ReferenceLlc {
  public:
   explicit ReferenceLlc(const vmem::MmuParams& params) : ways_(params.llc_ways) {
@@ -176,9 +180,12 @@ class ReferenceLlc {
     tick_ = 0;
   }
 
-  // FNV-1a over every way's (valid, tag, lru) in set/way order; an invalid
-  // way contributes only its valid byte. Same definition as
-  // vmem::LlcCache::StateHash.
+  // FNV-1a over every way's (valid, tag, recency rank) in set/way order,
+  // where the rank counts the set's valid ways with a larger stamp (0 = most
+  // recent); an invalid way contributes only its valid byte. Same definition
+  // as vmem::LlcCache::StateHash. The rank, not the stamp, is hashed because
+  // replacement sees only relative recency, which vmem::LlcCache keeps
+  // without stamps.
   uint64_t StateHash() const {
     uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](uint64_t v) {
@@ -187,11 +194,18 @@ class ReferenceLlc {
         h *= 0x100000001b3ull;
       }
     };
-    for (const Way& way : table_) {
-      mix(way.valid ? 1 : 0);
-      if (way.valid) {
-        mix(way.tag);
-        mix(way.lru);
+    for (uint64_t s = 0; s < num_sets_; s++) {
+      const Way* set = &table_[s * ways_];
+      for (uint32_t w = 0; w < ways_; w++) {
+        mix(set[w].valid ? 1 : 0);
+        if (set[w].valid) {
+          uint64_t rank = 0;
+          for (uint32_t o = 0; o < ways_; o++) {
+            rank += set[o].valid && set[o].lru > set[w].lru ? 1 : 0;
+          }
+          mix(set[w].tag);
+          mix(rank);
+        }
       }
     }
     return h;

@@ -7,6 +7,7 @@
 // registered counters.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <initializer_list>
 #include <string>
@@ -111,35 +112,74 @@ TEST(SimDiffTlb, TinyCapacitiesHammerEvictionAndErase) {
                  /*invalidate_percent=*/25, /*seed=*/2);
 }
 
-TEST(SimDiffLlc, TraceWithFlushTickReset) {
+TEST(SimDiffTlb, ZeroEntryStlbHoldsNothing) {
   MmuParams params;
-  params.llc_bytes = 64 * 16 * 64;  // 64 sets x 16 ways
-  params.llc_ways = 16;
+  params.l1_tlb_4k_entries = 4;
+  params.l1_tlb_2m_entries = 2;
+  params.l2_tlb_entries = 0;
+  ReplayTlbTrace(params, 100000, /*base_pages=*/64, /*huge_chunks=*/8,
+                 /*invalidate_percent=*/10, /*seed=*/4);
+}
+
+// Replays ~2 M accesses through the oracle and vmem::LlcCache on a
+// `sets` x `ways` geometry, flushing twice, and asserts the same hit/miss on
+// every access and the same StateHash every 50 k. The addresses mix three
+// bands: ~47% in a hot half-cache (hits refresh recency), ~50% over four
+// times the cache (fills and evictions), and ~3% in a cache-sized band at
+// 2^40, where the engine puts page-table lines. A one-set geometry tags
+// addresses only below 2^38 (32-bit tags), so there the band sits just
+// below that, the highest tags the geometry holds.
+void ReplayLlcTrace(uint64_t sets, uint32_t ways, uint64_t seed) {
+  MmuParams params;
+  params.llc_bytes = sets * ways * common::kCacheline;
+  params.llc_ways = ways;
   refsim::ReferenceLlc reference(params);
   LlcCache fast(params);
+  ASSERT_EQ(fast.num_sets(), sets);
   EXPECT_EQ(reference.StateHash(), fast.StateHash());
 
-  // Footprint 4x the cache, so every set sees fills, hits, and evictions.
-  const uint64_t footprint = 4 * params.llc_bytes;
-  common::Rng rng(3);
-  constexpr uint64_t kOps = 1000000;
+  const uint64_t cache_bytes = params.llc_bytes;
+  const uint64_t high_base = std::min<uint64_t>(1ull << 40, (sets << 38) - cache_bytes);
+  common::Rng rng(seed);
+  constexpr uint64_t kOps = 2000000;
   for (uint64_t i = 0; i < kOps; i++) {
-    if (i == 250000 || i == 650000) {
-      // Flush resets the valid state AND the LRU tick; replacement decisions
-      // right after depend on the tick restart being identical.
+    if (i == 700000 || i == 1400000) {
+      // Flush resets the valid state and the oracle's LRU tick; replacement
+      // decisions right after must still agree.
       reference.Flush();
       fast.Flush();
       ASSERT_EQ(reference.StateHash(), fast.StateHash()) << "state after flush at op " << i;
     }
-    const uint64_t paddr = rng.NextBelow(footprint);
+    const uint64_t band = rng.NextBelow(100);
+    const uint64_t paddr = band < 3    ? high_base + rng.NextBelow(cache_bytes)
+                           : band < 50 ? rng.NextBelow(cache_bytes / 2)
+                                       : rng.NextBelow(4 * cache_bytes);
     const bool want = reference.Access(paddr);
     const bool got = fast.Access(paddr);
-    ASSERT_EQ(want, got) << "LLC hit/miss divergence at op " << i;
+    ASSERT_EQ(want, got) << "LLC hit/miss divergence at op " << i << ", address 0x" << std::hex
+                         << paddr;
     if (i % 50000 == 0) {
       ASSERT_EQ(reference.StateHash(), fast.StateHash()) << "state divergence at op " << i;
     }
   }
   EXPECT_EQ(reference.StateHash(), fast.StateHash());
+}
+
+TEST(SimDiffLlc, TraceWithFlushTickReset) { ReplayLlcTrace(64, 16, /*seed=*/3); }
+
+// Every geometry the layout must hold exactly: the default, set counts that
+// are not a power of two (48 and 37, the % and / path), one set, and fewer
+// than 16 ways (1, 3, 4 and 8).
+TEST(SimDiffLlc, EveryGeometryMatchesOracle) {
+  const std::pair<uint64_t, uint32_t> kGeometries[] = {
+      {8192, 16}, {48, 16}, {1, 16}, {64, 1}, {64, 4}, {37, 8}, {1, 3}};
+  for (const auto& [sets, ways] : kGeometries) {
+    SCOPED_TRACE(testing::Message() << sets << " sets x " << ways << " ways");
+    ReplayLlcTrace(sets, ways, /*seed=*/sets * 31 + ways);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 // Scripted fault handler (same shape as vmem_test's): maps file offsets 1:1

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
+#include "src/common/perf_counters.h"
 #include "src/common/units.h"
 #include "src/obs/profiler.h"
 #include "src/pmem/device.h"
@@ -67,6 +69,29 @@ TEST(TlbTest, InvalidateAndFlush) {
   EXPECT_EQ(tlb.Lookup(0x3000, false), TlbResult::kMiss);
 }
 
+// A 0-entry STLB holds nothing, like a 0-entry L1 array: pages evicted
+// from L1 walk again instead of hitting in L2.
+TEST(TlbTest, ZeroEntryStlbHoldsNothing) {
+  MmuParams params;
+  params.l1_tlb_4k_entries = 2;
+  params.l2_tlb_entries = 0;
+  Tlb tlb(params);
+  for (uint64_t p = 0; p < 4; p++) {
+    EXPECT_EQ(tlb.Lookup(p * kBlockSize, false), TlbResult::kMiss);
+    tlb.Insert(p * kBlockSize, false);
+  }
+  EXPECT_EQ(tlb.Lookup(3 * kBlockSize, false), TlbResult::kL1Hit);
+  EXPECT_EQ(tlb.Lookup(0, false), TlbResult::kMiss);
+  tlb.InvalidatePage(3 * kBlockSize, false);
+  EXPECT_EQ(tlb.Lookup(3 * kBlockSize, false), TlbResult::kMiss);
+}
+
+TEST(TlbDeathTest, L1ArrayLargerThanSmallLruSetIsFatal) {
+  MmuParams params;
+  params.l1_tlb_4k_entries = vmem::SmallLruSet::kMaxCapacity + 1;
+  EXPECT_DEATH(Tlb tlb(params), "SmallLruSet: capacity 65");
+}
+
 TEST(LlcTest, HitAfterFill) {
   MmuParams params;
   vmem::LlcCache llc(params);
@@ -83,6 +108,42 @@ TEST(LlcTest, CapacityEviction) {
     llc.Access(i * 64);
   }
   EXPECT_FALSE(llc.Access(0));  // LRU victim was line 0
+}
+
+// A hit makes its line the most recent, so the next eviction takes the line
+// filled after it.
+TEST(LlcTest, HitRefreshesRecency) {
+  MmuParams params;
+  params.llc_bytes = 64 * 16;  // one set, 16 ways
+  params.llc_ways = 16;
+  vmem::LlcCache llc(params);
+  for (uint64_t i = 0; i < 16; i++) {
+    EXPECT_FALSE(llc.Access(i * 64));
+  }
+  EXPECT_TRUE(llc.Access(0));
+  EXPECT_FALSE(llc.Access(16 * 64));
+  EXPECT_TRUE(llc.Access(0));
+  EXPECT_FALSE(llc.Access(1 * 64));  // the victim was line 1
+}
+
+TEST(LlcDeathTest, WaysOutsideOneToSixteenAreFatal) {
+  MmuParams params;
+  params.llc_ways = 0;
+  EXPECT_DEATH(vmem::LlcCache llc(params), "llc_ways = 0, but a set holds 1 to 16 ways");
+  params.llc_ways = vmem::LlcCache::kMaxWays + 1;
+  EXPECT_DEATH(vmem::LlcCache llc(params), "llc_ways = 17, but a set holds 1 to 16 ways");
+}
+
+// Tags are 32 bits: a one-set cache tags line numbers below 2^32 (addresses
+// below 2^38) and must abort above, not alias line 2^32 with line 0.
+TEST(LlcDeathTest, TagWiderThan32BitsIsFatal) {
+  MmuParams params;
+  params.llc_bytes = 64 * 4;  // one set, 4 ways
+  params.llc_ways = 4;
+  vmem::LlcCache llc(params);
+  EXPECT_FALSE(llc.Access((1ull << 38) - 64));
+  EXPECT_TRUE(llc.Access((1ull << 38) - 64));
+  EXPECT_DEATH(llc.Access(1ull << 38), "tag wider than 32 bits");
 }
 
 TEST(PageTableTest, MapWalk4k) {
@@ -300,6 +361,57 @@ TEST(MmapLineBoundsTest, OpLeavingItsLineFailsAndSparesTheNextBlock) {
   ASSERT_TRUE(map->LoadLine(ctx, kBlockSize - 8, &out).ok());
   EXPECT_EQ(out, ones);
   EXPECT_TRUE(neighbour_intact());
+}
+
+// A length that wraps offset + len past 2^64 is out of range, and the call
+// fails before it faults, copies or charges anything.
+class MmapWrappingLengthTest : public MmapEngineTest {
+ protected:
+  static constexpr uint64_t kMapBytes = 64 * common::kKiB;
+  static constexpr uint64_t kPhysBase = 4 * common::kMiB;
+
+  MmapWrappingLengthTest() : handler_(kPhysBase, /*huge=*/false) {
+    map_ = engine_.Mmap(&handler_, 1, kMapBytes, /*writable=*/true);
+    uint8_t* bytes = dev_.raw_span(kPhysBase, kMapBytes);
+    for (uint64_t i = 0; i < kMapBytes; i++) {
+      bytes[i] = static_cast<uint8_t>(i * 29 + 3);
+    }
+    before_.assign(bytes, bytes + kMapBytes);
+  }
+
+  void ExpectNothingHappened(const ExecContext& ctx) {
+    EXPECT_EQ(ctx.clock.NowNs(), 0u);
+    for (const common::CounterField& field : common::kCounterFields) {
+      EXPECT_EQ(ctx.counters.*field.member, 0u) << "counter " << field.name;
+    }
+    EXPECT_EQ(handler_.faults_, 0);
+    EXPECT_EQ(std::memcmp(dev_.raw_span(kPhysBase, kMapBytes), before_.data(), kMapBytes), 0);
+  }
+
+  FakeHandler handler_;
+  std::unique_ptr<vmem::MappedFile> map_;
+  std::vector<uint8_t> before_;
+};
+
+TEST_F(MmapWrappingLengthTest, WriteRejectsLengthThatWraps) {
+  std::vector<uint8_t> src(kMapBytes, 0xee);
+  ExecContext ctx;
+  EXPECT_EQ(map_->Write(ctx, 8, src.data(), UINT64_MAX).code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(map_->Write(ctx, UINT64_MAX - 7, src.data(), 16).code(),
+            common::ErrorCode::kInvalidArgument);
+  ExpectNothingHappened(ctx);
+}
+
+TEST_F(MmapWrappingLengthTest, ReadRejectsLengthThatWraps) {
+  std::vector<uint8_t> dst(kMapBytes, 0xee);
+  ExecContext ctx;
+  EXPECT_EQ(map_->Read(ctx, 8, dst.data(), UINT64_MAX).code(),
+            common::ErrorCode::kInvalidArgument);
+  EXPECT_EQ(map_->Read(ctx, UINT64_MAX - 7, dst.data(), 16).code(),
+            common::ErrorCode::kInvalidArgument);
+  ExpectNothingHappened(ctx);
+  EXPECT_EQ(dst, std::vector<uint8_t>(kMapBytes, 0xee));
 }
 
 TEST_F(MmapEngineTest, ReadOnlyMappingRejectsWrites) {
