@@ -3,17 +3,13 @@
 #include <sstream>
 #include <vector>
 
+#include "src/common/fnv1a.h"
+
 namespace crashmk {
 
 namespace {
 
-uint64_t Fnv1a(const uint8_t* data, size_t len, uint64_t hash) {
-  for (size_t i = 0; i < len; i++) {
-    hash ^= data[i];
-    hash *= 0x100000001b3ULL;
-  }
-  return hash;
-}
+using common::Fnv1a;
 
 void Walk(common::ExecContext& ctx, vfs::FileSystem& fs, const std::string& dir,
           std::map<std::string, OracleEntry>& out) {
@@ -42,7 +38,7 @@ void Walk(common::ExecContext& ctx, vfs::FileSystem& fs, const std::string& dir,
     oe.size = st->size;
     auto fd = fs.Open(ctx, path, vfs::OpenFlags::ReadOnly());
     if (fd.ok()) {
-      uint64_t hash = 0xcbf29ce484222325ULL;
+      uint64_t hash = common::kFnvOffsetBasis;
       std::vector<uint8_t> buf(64 * 1024);
       uint64_t off = 0;
       while (off < st->size) {
@@ -91,15 +87,14 @@ std::string Oracle::DiffAgainst(const Oracle& other) const {
 }
 
 uint64_t Oracle::StateHash() const {
-  uint64_t hash = 0xcbf29ce484222325ULL;
+  uint64_t hash = common::kFnvOffsetBasis;
   for (const auto& [path, entry] : entries_) {
-    hash = Fnv1a(reinterpret_cast<const uint8_t*>(path.data()), path.size(), hash);
+    hash = Fnv1a(path.data(), path.size(), hash);
     const uint8_t flags =
         static_cast<uint8_t>((entry.is_dir ? 1 : 0) | (entry.dangling ? 2 : 0));
     hash = Fnv1a(&flags, 1, hash);
-    hash = Fnv1a(reinterpret_cast<const uint8_t*>(&entry.size), sizeof(entry.size), hash);
-    hash = Fnv1a(reinterpret_cast<const uint8_t*>(&entry.content_hash),
-                 sizeof(entry.content_hash), hash);
+    hash = Fnv1a(&entry.size, sizeof(entry.size), hash);
+    hash = Fnv1a(&entry.content_hash, sizeof(entry.content_hash), hash);
   }
   return hash;
 }

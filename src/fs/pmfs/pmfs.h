@@ -5,10 +5,10 @@
 // hugepages even in a clean file system setup"). Relaxed guarantees.
 //
 // The journal is transactional: every syscall's metadata updates run inside
-// one undo transaction (kStart … kUndo entries … kCommit through the single
-// ring), and mount-time recovery rolls back the uncommitted tail transaction
-// so multi-write operations (rename over an existing target, cross-directory
-// moves) are crash-atomic.
+// one undo transaction (kStart … undo entries … kCommit through the single
+// fscore::UndoRing), and mount-time recovery rolls back the uncommitted tail
+// transaction so multi-write operations (rename over an existing target,
+// cross-directory moves) are crash-atomic.
 #ifndef SRC_FS_PMFS_PMFS_H_
 #define SRC_FS_PMFS_PMFS_H_
 
@@ -16,45 +16,9 @@
 #include <vector>
 
 #include "src/fs/fscore/generic_fs.h"
+#include "src/fs/fscore/undo_journal.h"
 
 namespace pmfs {
-
-// One 64-byte undo-journal entry. Same torn-write discipline as the WineFS
-// journal: the csum over the first 56 bytes makes a torn entry detectable,
-// and every entry is fenced before its in-place overwrite begins, so a torn
-// entry implies an untouched target and can be skipped safely.
-struct JournalEntry {
-  uint64_t txn_id = 0;
-  uint32_t wrap = 0;
-  uint8_t type = 0;  // 0 invalid
-  uint8_t payload_len = 0;
-  uint16_t magic = 0;
-  uint64_t target_offset = 0;
-  uint8_t payload[32] = {};
-  uint64_t csum = 0;  // FNV-1a over the first 56 bytes
-
-  static constexpr uint16_t kMagic = 0x4a50;  // "PJ"
-  static constexpr uint8_t kStart = 1;
-  static constexpr uint8_t kCommit = 2;
-  static constexpr uint8_t kUndo = 3;
-
-  uint64_t ComputeCsum() const {
-    return Fnv1a(reinterpret_cast<const uint8_t*>(this), sizeof(JournalEntry) - sizeof(csum));
-  }
-  bool CsumOk() const { return csum == ComputeCsum(); }
-  bool IsValidHeader() const {
-    return magic == kMagic && type >= kStart && type <= kUndo && CsumOk();
-  }
-
-  static uint64_t Fnv1a(const uint8_t* data, uint64_t len) {
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (uint64_t i = 0; i < len; i++) {
-      hash = (hash ^ data[i]) * 0x100000001b3ull;
-    }
-    return hash;
-  }
-};
-static_assert(sizeof(JournalEntry) == 64);
 
 struct PmfsOptions {
   fscore::FsOptions base{
@@ -113,17 +77,14 @@ class Pmfs : public fscore::GenericFs {
   void RebuildAllocator(common::ExecContext& ctx, fscore::FreeSpaceMap&& free_map) override;
 
  private:
-  void AppendEntry(common::ExecContext& ctx, JournalEntry entry);
-  uint64_t JournalCapacityEntries() const;
+  // Lays the ring over the whole journal region and empties it.
+  void PlaceJournal();
   // Delayed-metadata mode: flush + fence everything written since last sync.
   void DrainDelayed(common::ExecContext& ctx);
 
   PmfsOptions popts_;
   fscore::FreeSpaceMap free_;
-  common::SimMutex journal_lock_{"pmfs.journal"};  // single journal: the multi-thread bottleneck
-  uint64_t journal_cursor_entries_ = 0;
-  uint64_t journal_head_ = 0;  // ring slot of the next append
-  uint32_t journal_wrap_ = 0;
+  fscore::UndoRing journal_{"pmfs.journal"};  // single journal: the multi-thread bottleneck
   uint64_t next_txn_id_ = 1;
   uint64_t tx_id_ = 0;
   int tx_depth_ = 0;

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <cstring>
 #include <map>
 
-#include "src/common/prof_zone.h"
 #include "src/common/units.h"
 #include "src/vfs/op_batch.h"
 
@@ -24,8 +24,27 @@ using fscore::Inode;
 namespace {
 // DRAM index operation cost (rb-tree / list manipulation).
 constexpr uint64_t kAllocWorkNs = 90;
-// Data-journaling segment cap so one transaction never overruns its ring.
+// Journal format ("JE"): data journaling of an aligned region packs undo
+// images of 1 KiB and up into blobs.
+constexpr fscore::UndoFormat kJournalFormat{.magic = 0x4a45, .blob_min_bytes = 1024};
+// Data-journaling segment: the unit WriteDataAtomic journals or, when its
+// undo would not fit the ring, copies on write.
 constexpr uint64_t kMaxJournalSegBytes = 64 * 1024;
+// Ring slots the closing inode persist spends per block a write copies on
+// write or allocates: at worst one split leaves three changed extent
+// records, two indirect-block headers and a chain link.
+constexpr uint64_t kSlotsPerRelocatedBlock = 6;
+
+// Ring slots a data-journaled write's transaction needs after its current
+// segment: the closing inode persist (the inode header, the xattr area when
+// present, and the extent records of `relocated_blocks` blocks copied on
+// write or allocated) and the commit.
+uint64_t TxTailSlots(const fscore::UndoRing& ring, const Inode& inode,
+                     uint64_t relocated_blocks) {
+  return ring.UndoSlots(offsetof(fscore::PmInode, inline_extents)) +
+         (inode.xattr.empty() ? 0 : ring.UndoSlots(fscore::kInodeXattrBytes)) +
+         kSlotsPerRelocatedBlock * relocated_blocks + 1;
+}
 }  // namespace
 
 WineFs::WineFs(pmem::PmemDevice* device, WineFsOptions options)
@@ -42,17 +61,15 @@ void WineFs::SetupPoolGeometry(uint64_t data_start, uint64_t nblocks) {
   for (uint32_t cpu = 0; cpu < ncpu; cpu++) {
     auto pool = std::make_unique<CpuPool>();
     pool->lock.set_site("winefs.pool.cpu" + std::to_string(cpu));
-    pool->journal_lock.set_site(
-        wopts_.per_cpu_journals ? "winefs.journal.cpu" + std::to_string(cpu)
-                                : "winefs.journal.global");
+    pool->journal.set_site(wopts_.per_cpu_journals ? "winefs.journal.cpu" + std::to_string(cpu)
+                                                   : "winefs.journal.global");
     pool->start_block = data_start + cpu * per_cpu;
     pool->num_blocks = cpu == ncpu - 1 ? nblocks - cpu * per_cpu : per_cpu;
     pool->numa_node = device_->NumaNodeOf(pool->start_block * kBlockSize);
     if (wopts_.per_cpu_journals || cpu == 0) {
-      pool->journal_pm_offset =
-          (journal_start_block_ + (wopts_.per_cpu_journals ? cpu * journal_per_cpu : 0)) *
-          kBlockSize;
-      pool->capacity_entries = journal_per_cpu * kBlockSize / sizeof(JournalEntry);
+      pool->journal.Place(device_, kJournalFormat,
+                          (journal_start_block_ + cpu * journal_per_cpu) * kBlockSize,
+                          journal_per_cpu * kBlockSize);
     }
     pools_.push_back(std::move(pool));
   }
@@ -380,106 +397,16 @@ void WineFs::FreeBlocks(ExecContext& ctx, const std::vector<Extent>& extents) {
 
 // --- Journaling ----------------------------------------------------------------
 
-void WineFs::AppendEntry(ExecContext& ctx, CpuPool& pool, const JournalEntry& entry) {
-  common::SimMutex::Guard guard(pool.journal_lock, ctx);
-  JournalEntry out = entry;
-  out.magic = JournalEntry::kMagic;
-  out.wrap = pool.wrap;
-  out.csum = out.ComputeCsum();
-  const uint64_t slot = pool.head;
-  pool.head++;
-  if (pool.head >= pool.capacity_entries) {
-    pool.head = 0;
-    pool.wrap++;
-  }
-  const uint64_t off = pool.journal_pm_offset + slot * sizeof(JournalEntry);
-  device_->Store(ctx, off, &out, sizeof(out));
-  device_->Clwb(ctx, off, sizeof(out));
-  ctx.counters.journal_bytes += sizeof(out);
-}
-
-void WineFs::AppendRawSlots(ExecContext& ctx, CpuPool& pool, const uint8_t* data,
-                            uint64_t len) {
-  common::SimMutex::Guard guard(pool.journal_lock, ctx);
-  // The old image streams into the ring as non-temporal stores, one per
-  // contiguous run of slots (a run ends at the ring's end). Runs start on a
-  // slot and only the image's last piece can be sub-cacheline, so a run
-  // charges exactly what one store per slot would, and crash tracking logs
-  // the same lines in the same order.
-  uint64_t done = 0;
-  while (done < len) {
-    const uint64_t ring_bytes = (pool.capacity_entries - pool.head) * sizeof(JournalEntry);
-    const uint64_t span = std::min(len - done, ring_bytes);
-    const uint64_t off = pool.journal_pm_offset + pool.head * sizeof(JournalEntry);
-    device_->NtStore(ctx, off, data + done, span);
-    pool.head += (span + sizeof(JournalEntry) - 1) / sizeof(JournalEntry);
-    if (pool.head >= pool.capacity_entries) {
-      pool.head = 0;
-      pool.wrap++;
-    }
-    done += span;
-  }
-  ctx.counters.journal_bytes += len;
-}
-
-void WineFs::JournalUndo(ExecContext& ctx, CpuPool& pool, uint64_t target_offset,
-                         uint64_t len) {
-  common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
-  if (len >= 1024) {
-    // Data journaling of a large region: one blob header + the old image
-    // packed into raw cachelines (the data is written twice, not four times).
-    std::vector<uint8_t> old(len);
-    // A poisoned old image journals as zeros: the in-place overwrite below
-    // clears the poison, and a rollback then restores zeros — never stale
-    // bytes (the poisoned region was unreadable anyway).
-    (void)device_->Load(ctx, target_offset, old.data(), len);
-    JournalEntry header;
-    header.txn_id = Tx(ctx).id;
-    header.type = JournalEntry::kUndoBlob;
-    header.target_offset = target_offset;
-    std::memcpy(header.payload, &len, sizeof(len));
-    const uint64_t blob_csum = JournalEntry::Fnv1a(old.data(), len);
-    std::memcpy(header.payload + sizeof(len), &blob_csum, sizeof(blob_csum));
-    AppendEntry(ctx, pool, header);
-    AppendRawSlots(ctx, pool, old.data(), len);
-    device_->Fence(ctx);
-    return;
-  }
-  // Copy the old image into cacheline-sized undo entries, then fence so the
-  // undo information is persistent before the in-place overwrite.
-  uint8_t old[32];
-  uint64_t done = 0;
-  while (done < len) {
-    const uint64_t chunk = std::min<uint64_t>(len - done, sizeof(old));
-    // Poisoned old image journals as zeros; see the blob path above.
-    (void)device_->Load(ctx, target_offset + done, old, chunk);
-    JournalEntry entry;
-    entry.txn_id = Tx(ctx).id;
-    entry.type = JournalEntry::kUndoData;
-    entry.payload_len = static_cast<uint8_t>(chunk);
-    entry.target_offset = target_offset + done;
-    std::memcpy(entry.payload, old, chunk);
-    AppendEntry(ctx, pool, entry);
-    done += chunk;
-  }
-  device_->Fence(ctx);
-}
-
 void WineFs::TxBegin(ExecContext& ctx) {
   TxSlot& tx = Tx(ctx);
   tx.depth++;
   if (tx.depth > 1) {
     return;
   }
-  common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
-  tx.cpu = wopts_.per_cpu_journals ? ctx.cpu % static_cast<uint32_t>(pools_.size()) : 0;
   // Shared atomic transaction counter: IDs are unique across per-CPU journals.
   tx.id = next_txn_id_.fetch_add(1);
-  JournalEntry entry;
-  entry.txn_id = tx.id;
-  entry.type = JournalEntry::kStart;
-  AppendEntry(ctx, JournalFor(tx.cpu), entry);
-  device_->Fence(ctx);
+  tx.ring = &JournalFor(ctx);
+  tx.start = tx.ring->Begin(ctx, tx.id);
 }
 
 void WineFs::TxMetaWrite(ExecContext& ctx, vfs::InodeNum owner, uint64_t pm_offset,
@@ -489,8 +416,8 @@ void WineFs::TxMetaWrite(ExecContext& ctx, vfs::InodeNum owner, uint64_t pm_offs
   if (self_contained) {
     TxBegin(ctx);
   }
-  CpuPool& pool = JournalFor(Tx(ctx).cpu);
-  JournalUndo(ctx, pool, pm_offset, len);
+  const TxSlot& tx = Tx(ctx);
+  tx.ring->Undo(ctx, tx.id, pm_offset, len);
   // In-place update, immediately persistent (all metadata ops synchronous).
   device_->Store(ctx, pm_offset, data, len);
   device_->Clwb(ctx, pm_offset, len);
@@ -507,14 +434,9 @@ void WineFs::TxCommit(ExecContext& ctx) {
   if (tx.depth > 0) {
     return;
   }
-  common::ProfileZone zone(ctx, common::ProfLayer::kJournal);
-  JournalEntry entry;
-  entry.txn_id = tx.id;
-  entry.type = JournalEntry::kCommit;
-  AppendEntry(ctx, JournalFor(tx.cpu), entry);
-  device_->Fence(ctx);
   // Space occupied by this committed transaction is immediately reclaimable
   // (§3.6); the ring simply advances.
+  tx.ring->Commit(ctx, tx.id);
 }
 
 Status WineFs::RecoverJournal(ExecContext& ctx) {
@@ -522,146 +444,13 @@ Status WineFs::RecoverJournal(ExecContext& ctx) {
   // from the superblock fields GenericFs::Mount restored. SetupPoolGeometry
   // does not touch the device, so the journals are intact for scanning.
   SetupPoolGeometry(data_start_block_, data_blocks_);
-
-  struct ScannedEntry {
-    JournalEntry entry;
-    uint64_t seq = 0;
-    uint32_t journal = 0;
-    uint64_t slot = 0;
-  };
-  std::vector<ScannedEntry> incomplete;
-
-  // Poisoned journal region: if the filesystem was cleanly unmounted the
-  // journal carries no undo state worth keeping — zero it (the full-block
-  // rewrite clears the poison) and continue. If the filesystem was dirty, an
-  // incomplete transaction may hide behind the media error; refuse the mount
-  // with EIO rather than guess.
-  const uint64_t journal_bytes = options_.journal_blocks * kBlockSize;
-  if (!device_->ReadStatus(journal_start_block_ * kBlockSize, journal_bytes).ok()) {
-    if (!mount_found_clean_) {
-      return Status(common::ErrorCode::kIoError);
-    }
-    device_->Zero(ctx, journal_start_block_ * kBlockSize, journal_bytes);
-    device_->Fence(ctx);
-    for (auto& pool : pools_) {
-      pool->head = 0;
-      pool->wrap = 0;
-    }
-    return common::OkStatus();
+  std::vector<fscore::UndoRing*> rings;
+  for (size_t j = 0; j < (wopts_.per_cpu_journals ? pools_.size() : 1); j++) {
+    rings.push_back(&pools_[j]->journal);
   }
-
-  const uint32_t njournals =
-      wopts_.per_cpu_journals ? static_cast<uint32_t>(pools_.size()) : 1;
-  for (uint32_t j = 0; j < njournals; j++) {
-    CpuPool& pool = *pools_[j];
-    if (pool.capacity_entries == 0) {
-      continue;
-    }
-    std::vector<JournalEntry> slots(pool.capacity_entries);
-    RETURN_IF_ERROR(device_->Load(ctx, pool.journal_pm_offset, slots.data(),
-                                  slots.size() * sizeof(JournalEntry)));
-    // Determine the newest wrap generation present (headers only: raw blob
-    // cachelines carry arbitrary bytes and are filtered by the magic check).
-    uint32_t max_wrap = 0;
-    bool any = false;
-    for (const JournalEntry& e : slots) {
-      if (e.IsValidHeader()) {
-        max_wrap = std::max(max_wrap, e.wrap);
-        any = true;
-      }
-    }
-    if (!any) {
-      continue;
-    }
-    // Order valid entries: wrap max_wrap-1 slots after the newest wrap's
-    // frontier, then wrap max_wrap slots from 0.
-    std::vector<ScannedEntry> ordered;
-    for (uint64_t s = 0; s < slots.size(); s++) {
-      const JournalEntry& e = slots[s];
-      if (!e.IsValidHeader()) {
-        continue;
-      }
-      if (e.wrap == max_wrap) {
-        ordered.push_back(ScannedEntry{e, max_wrap * slots.size() + s, j, s});
-      } else if (e.wrap + 1 == max_wrap) {
-        ordered.push_back(ScannedEntry{e, e.wrap * slots.size() + s, j, s});
-      }
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [](const ScannedEntry& a, const ScannedEntry& b) { return a.seq < b.seq; });
-    if (ordered.empty()) {
-      continue;
-    }
-    // The only possibly-incomplete transaction is the one owning the tail
-    // entries (operations are synchronous; space reclaimed at commit).
-    const uint64_t tail_txn = ordered.back().entry.txn_id;
-    bool committed = false;
-    for (const ScannedEntry& e : ordered) {
-      if (e.entry.txn_id == tail_txn && e.entry.type == JournalEntry::kCommit) {
-        committed = true;
-      }
-    }
-    if (!committed) {
-      for (const ScannedEntry& e : ordered) {
-        if (e.entry.txn_id == tail_txn) {
-          incomplete.push_back(e);
-        }
-      }
-    }
-  }
-
-  // Roll back incomplete transactions across journals in reverse global
-  // transaction-ID order, applying undo images newest-first.
-  std::sort(incomplete.begin(), incomplete.end(), [](const ScannedEntry& a,
-                                                     const ScannedEntry& b) {
-    if (a.entry.txn_id != b.entry.txn_id) {
-      return a.entry.txn_id > b.entry.txn_id;
-    }
-    return a.seq > b.seq;
-  });
-  for (const ScannedEntry& e : incomplete) {
-    if (e.entry.type == JournalEntry::kUndoData) {
-      device_->Store(ctx, e.entry.target_offset, e.entry.payload, e.entry.payload_len);
-      device_->Clwb(ctx, e.entry.target_offset, e.entry.payload_len);
-    } else if (e.entry.type == JournalEntry::kUndoBlob) {
-      // The old image sits in the raw cachelines following the header slot.
-      uint64_t blob_len = 0;
-      std::memcpy(&blob_len, e.entry.payload, sizeof(blob_len));
-      uint64_t blob_csum = 0;
-      std::memcpy(&blob_csum, e.entry.payload + sizeof(blob_len), sizeof(blob_csum));
-      CpuPool& pool = *pools_[e.journal];
-      std::vector<uint8_t> old(blob_len);
-      uint64_t done = 0;
-      uint64_t slot = (e.slot + 1) % pool.capacity_entries;
-      while (done < blob_len) {
-        const uint64_t chunk = std::min<uint64_t>(common::kCacheline, blob_len - done);
-        RETURN_IF_ERROR(device_->Load(ctx,
-                                      pool.journal_pm_offset + slot * sizeof(JournalEntry),
-                                      old.data() + done, chunk));
-        slot = (slot + 1) % pool.capacity_entries;
-        done += chunk;
-      }
-      // Torn raw blob cachelines mean the crash hit while the undo image was
-      // still being journaled, before the fence that precedes the in-place
-      // overwrite — the target is intact, so skipping the rollback is safe
-      // (and rolling back a torn image would not be).
-      if (JournalEntry::Fnv1a(old.data(), blob_len) != blob_csum) {
-        continue;
-      }
-      device_->Store(ctx, e.entry.target_offset, old.data(), blob_len);
-      device_->Clwb(ctx, e.entry.target_offset, blob_len);
-    }
-  }
-  device_->Fence(ctx);
-
-  // Reset all journals to a clean state.
-  device_->Zero(ctx, journal_start_block_ * kBlockSize, options_.journal_blocks * kBlockSize);
-  device_->Fence(ctx);
-  for (auto& pool : pools_) {
-    pool->head = 0;
-    pool->wrap = 0;
-  }
-  return common::OkStatus();
+  return fscore::UndoRing::Recover(ctx, *device_, journal_start_block_ * kBlockSize,
+                                   options_.journal_blocks * kBlockSize, mount_found_clean_,
+                                   fscore::UndoReplay::kEveryMount, rings);
 }
 
 // --- Hybrid data atomicity (§3.4) ------------------------------------------------
@@ -681,6 +470,7 @@ Result<uint64_t> WineFs::WriteDataAtomic(ExecContext& ctx, Inode& inode, const v
   uint64_t pos = offset;
   uint64_t remaining = len;
   const uint64_t old_size = inode.size;
+  uint64_t relocated_blocks = 0;  // copied on write or allocated so far
   std::vector<Extent> to_free;
 
   TxBegin(ctx);
@@ -711,17 +501,29 @@ Result<uint64_t> WineFs::WriteDataAtomic(ExecContext& ctx, Inode& inode, const v
       const bool aligned_region =
           region.has_value() && region->contiguous_blocks >= kBlocksPerHugepage &&
           common::IsAligned(region->phys_block, kBlocksPerHugepage);
-      if (aligned_region && wopts_.hybrid_atomicity) {
+      const TxSlot& tx = Tx(ctx);
+      bool journal = aligned_region && wopts_.hybrid_atomicity;
+      if (journal) {
         // Data journaling: preserves the aligned layout at the cost of
-        // writing the data twice. Segmented so a transaction fits the ring.
+        // writing the data twice. It goes segment by segment, and a segment
+        // whose undo would not fit what the transaction has left of its ring
+        // is copied on write instead: overrunning the ring would overwrite
+        // the transaction's own kStart and first undo images.
         chunk = std::min(chunk, kMaxJournalSegBytes);
+        journal = tx.ring->UndoSlots(chunk) +
+                      TxTailSlots(*tx.ring, inode,
+                                  relocated_blocks + common::BytesToBlocks(remaining - chunk)) <=
+                  tx.ring->Room(tx.start);
+      }
+      if (journal) {
         const uint64_t phys_off = mapping->phys_block * kBlockSize + in_block;
-        JournalUndo(ctx, JournalFor(Tx(ctx).cpu), phys_off, chunk);
+        tx.ring->Undo(ctx, tx.id, phys_off, chunk);
         device_->NtStore(ctx, phys_off, cursor, chunk);
         device_->Fence(ctx);
       } else {
-        // Copy-on-write into fresh holes: the old blocks' layout does not
-        // matter, so relocation is free of hugepage consequences.
+        // Copy-on-write into fresh holes: an unaligned region's layout does
+        // not matter, so relocation is free of hugepage consequences (an
+        // aligned segment lands here only when the ring has no room for it).
         const uint64_t first = block;
         const uint64_t last = (pos + chunk - 1) / kBlockSize;
         const uint64_t nblocks = last - first + 1;
@@ -768,6 +570,7 @@ Result<uint64_t> WineFs::WriteDataAtomic(ExecContext& ctx, Inode& inode, const v
         }
         device_->Fence(ctx);
         ctx.counters.cow_bytes += copied;
+        relocated_blocks += nblocks;
         for (const Extent& ext : old) {
           to_free.push_back(ext);
         }
@@ -785,6 +588,7 @@ Result<uint64_t> WineFs::WriteDataAtomic(ExecContext& ctx, Inode& inode, const v
         hole_end_block++;
       }
       const uint64_t nblocks = hole_end_block - block;
+      relocated_blocks += nblocks;
       auto alloc = AllocBlocks(ctx, inode, nblocks, AllocIntent::kFileData);
       if (!alloc.ok()) {
         TxCommit(ctx);
@@ -881,8 +685,8 @@ void WineFs::SampleGauges(obs::GaugeSample& out) {
         pool->holes.free_blocks() + aligned * kBlocksPerHugepage;
     free_min = std::min(free_min, free);
     free_max = std::max(free_max, free);
-    journal_entries += pool->wrap * pool->capacity_entries + pool->head;
-    journal_wraps += pool->wrap;
+    journal_entries += pool->journal.written();
+    journal_wraps += pool->journal.wraps();
   }
   SetRunHistogramGauges(hist, out);
   out.Set("pool_aligned_min", static_cast<double>(pools_.empty() ? 0 : aligned_min));

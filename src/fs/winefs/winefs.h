@@ -5,9 +5,10 @@
 //    2 MiB-aligned extents and an offset-keyed tree of unaligned holes.
 //    Hugepage-sized requests take aligned extents; small requests take holes;
 //    metadata always comes from holes (contained fragmentation).
-//  * Per-CPU fine-grained undo journals with 64 B cacheline entries; all
-//    metadata operations are synchronous, so journal space is reclaimed at
-//    commit. Transactions stay on the journal where they began.
+//  * Per-CPU fine-grained undo journals (fscore::UndoRing, 64 B cacheline
+//    entries); all metadata operations are synchronous, so journal space is
+//    reclaimed at commit. Transactions stay on the journal where they began,
+//    and one shared transaction-ID counter orders rollback across journals.
 //  * Hybrid data atomicity (strict mode): data journaling for aligned extents
 //    (preserves layout), copy-on-write into fresh holes for unaligned ones.
 //  * Hugepage-allocating page faults: a write fault on a hole asks the
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "src/fs/fscore/generic_fs.h"
+#include "src/fs/fscore/undo_journal.h"
 
 namespace winefs {
 
@@ -39,54 +41,6 @@ struct WineFsOptions {
   bool per_cpu_journals = true;  // off: one global journal
   bool hybrid_atomicity = true;  // off: CoW for everything in strict mode
 };
-
-// One 64-byte undo-journal entry (§3.6 "each log entry is only a cache line").
-// Large undo images (data journaling of aligned extents) use one kUndoBlob
-// header followed by ceil(len/64) raw cachelines of old data — compact, so
-// data journaling writes the data ~twice, not four times.
-//
-// x86 persists only 8 bytes atomically, so a crash mid-flush can tear the
-// entry at 8-byte-lane granularity. `csum` (FNV-1a over the other 56 bytes)
-// makes torn entries detectable: recovery skips them, which is safe because
-// every undo entry is fenced BEFORE its in-place overwrite begins — a torn
-// entry implies the target was never touched. Blob headers additionally carry
-// an FNV-1a checksum of the old image in payload[8..16] so torn raw blob
-// cachelines are caught the same way.
-struct JournalEntry {
-  uint64_t txn_id = 0;
-  uint32_t wrap = 0;
-  uint8_t type = 0;  // 0 invalid
-  uint8_t payload_len = 0;
-  uint16_t magic = 0;  // kMagic distinguishes headers from raw blob lines
-  uint64_t target_offset = 0;
-  uint8_t payload[32] = {};
-  uint64_t csum = 0;  // FNV-1a over the first 56 bytes
-
-  static constexpr uint16_t kMagic = 0x4a45;
-  static constexpr uint8_t kInvalid = 0;
-  static constexpr uint8_t kStart = 1;
-  static constexpr uint8_t kCommit = 2;
-  static constexpr uint8_t kUndoData = 3;
-  static constexpr uint8_t kUndoBlob = 4;
-
-  uint64_t ComputeCsum() const {
-    return Fnv1a(reinterpret_cast<const uint8_t*>(this), sizeof(JournalEntry) - sizeof(csum));
-  }
-  bool CsumOk() const { return csum == ComputeCsum(); }
-
-  bool IsValidHeader() const {
-    return magic == kMagic && type >= kStart && type <= kUndoBlob && CsumOk();
-  }
-
-  static uint64_t Fnv1a(const uint8_t* data, uint64_t len) {
-    uint64_t hash = 0xcbf29ce484222325ull;
-    for (uint64_t i = 0; i < len; i++) {
-      hash = (hash ^ data[i]) * 0x100000001b3ull;
-    }
-    return hash;
-  }
-};
-static_assert(sizeof(JournalEntry) == 64);
 
 class WineFs : public fscore::GenericFs {
  public:
@@ -122,7 +76,7 @@ class WineFs : public fscore::GenericFs {
   uint64_t FreeAlignedExtents() const;
 
   // Native batched execution: the fscore engine. Batched ops write the
-  // journal through the same AppendEntry/AppendRawSlots code as scalar calls.
+  // journal through the same rings as scalar calls.
   void ExecuteBatch(common::ExecContext& ctx, const vfs::OpBatch& batch,
                     std::vector<vfs::OpResult>& results) override;
 
@@ -175,12 +129,8 @@ class WineFs : public fscore::GenericFs {
       hole_free_count.store(holes.free_blocks(), std::memory_order_relaxed);
     }
 
-    // Per-CPU journal ring.
-    uint64_t journal_pm_offset = 0;
-    uint64_t capacity_entries = 0;
-    uint64_t head = 0;  // next slot
-    uint32_t wrap = 0;
-    common::SimMutex journal_lock;
+    // Per-CPU journal ring; placed only on pool 0 without per_cpu_journals.
+    fscore::UndoRing journal;
   };
 
   uint32_t PoolIndexFor(common::ExecContext& ctx);
@@ -199,18 +149,10 @@ class WineFs : public fscore::GenericFs {
   void ReleaseToPool(common::ExecContext& ctx, const fscore::Extent& extent);
   void ExtractAlignedFromHoles(CpuPool& pool, uint64_t around_block);
 
-  // Journal mechanics.
-  CpuPool& JournalFor(uint32_t cpu) {
-    return wopts_.per_cpu_journals ? *pools_[cpu] : *pools_[0];
+  // The ring a transaction begun on ctx.cpu appends to.
+  fscore::UndoRing& JournalFor(const common::ExecContext& ctx) {
+    return pools_[wopts_.per_cpu_journals ? ctx.cpu % pools_.size() : 0]->journal;
   }
-  // Stores one entry into the next slot and flushes it (Store + Clwb); the
-  // caller fences.
-  void AppendEntry(common::ExecContext& ctx, CpuPool& pool, const JournalEntry& entry);
-  // Writes `len` bytes of old-image data as raw journal cachelines.
-  void AppendRawSlots(common::ExecContext& ctx, CpuPool& pool, const uint8_t* data,
-                      uint64_t len);
-  void JournalUndo(common::ExecContext& ctx, CpuPool& pool, uint64_t target_offset,
-                   uint64_t len);
 
   // NUMA policy (§3.6): home node per process, writes routed there.
   uint32_t HomeNodeFor(common::ExecContext& ctx);
@@ -228,8 +170,9 @@ class WineFs : public fscore::GenericFs {
   // concurrently against their own journals. Nesting uses the depth counter.
   struct alignas(64) TxSlot {  // a line per CPU: host workers write their own
     int depth = 0;
-    uint32_t cpu = 0;
     uint64_t id = 0;
+    uint64_t start = 0;  // ring position of the kStart entry
+    fscore::UndoRing* ring = nullptr;
   };
   alignas(64) std::vector<TxSlot> tx_slots_{1};
   TxSlot& Tx(const common::ExecContext& ctx) {

@@ -12,6 +12,7 @@ namespace snap {
 namespace {
 
 using common::ErrorCode;
+using common::kFnvPrime;
 using common::Status;
 
 // "SNAPIMG1" read as a little-endian uint64.
@@ -78,8 +79,6 @@ class Reader {
  private:
   std::FILE* f_;
 };
-
-constexpr uint64_t kFnvPrime = 1099511628211ull;
 
 // Chunk checksums are computed kLanes chunks per pass.
 constexpr size_t kLanes = 4;
@@ -214,14 +213,6 @@ Status ParseHeader(Reader& r, ImageInfo* info) {
 }
 
 }  // namespace
-
-uint64_t Fnv1a(const uint8_t* data, uint64_t len, uint64_t hash) {
-  for (uint64_t i = 0; i < len; i++) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 uint64_t ContentHash(const pmem::DeviceSnapshot& snap) {
   if (!snap.valid()) {

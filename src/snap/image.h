@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <string>
 
+#include "src/common/fnv1a.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 #include "src/pmem/device.h"
@@ -55,7 +56,7 @@ struct LoadedImage {
 };
 
 // FNV-1a over a byte range (the checksum used for chunks and the header).
-uint64_t Fnv1a(const uint8_t* data, uint64_t len, uint64_t hash = 14695981039346656037ull);
+using common::Fnv1a;
 
 // Content hash of a full device snapshot (determinism audits; snapctl list).
 uint64_t ContentHash(const pmem::DeviceSnapshot& snap);

@@ -30,14 +30,6 @@ const char* TraceOpName(TraceOp op) {
   return "?";
 }
 
-uint64_t Fnv1a(const uint8_t* data, uint64_t len, uint64_t hash) {
-  for (uint64_t i = 0; i < len; i++) {
-    hash ^= data[i];
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
 uint32_t Trace::AddPath(const std::string& path) {
   for (size_t i = 0; i < paths.size(); i++) {
     if (paths[i] == path) {

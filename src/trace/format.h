@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/fnv1a.h"
 #include "src/common/result.h"
 #include "src/common/status.h"
 
@@ -161,10 +162,8 @@ struct TraceStats {
 };
 TraceStats ComputeStats(const Trace& trace);
 
-// FNV-1a over a byte range; same constants as snap::Fnv1a so trace and image
-// files share one checksum convention.
-uint64_t Fnv1a(const uint8_t* data, uint64_t len,
-               uint64_t hash = 14695981039346656037ull);
+// FNV-1a over a byte range, shared with snapshot images.
+using common::Fnv1a;
 
 }  // namespace trace
 

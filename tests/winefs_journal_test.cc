@@ -1,7 +1,7 @@
 // WineFS journal mechanics under stress: ring wraparound with ongoing
-// transactions, crash-recovery after many wraps, blob records spanning the
-// ring, ENOSPC on the mmap fault path, recovery idempotence, and real-thread
-// safety of the whole filesystem stack.
+// transactions, crash-recovery after many wraps, blob records against the
+// ring's capacity, ENOSPC on the mmap fault path, recovery idempotence, and
+// real-thread safety of the whole filesystem stack.
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -63,15 +63,14 @@ TEST(WineFsJournalTest, RingWrapsManyTimesWithoutCorruption) {
   }
 }
 
-TEST(WineFsJournalTest, BlobSegmentsRespectRingCapacity) {
-  pmem::PmemDevice dev(128 * kMiB);
-  auto fs = TinyJournalFs(&dev);  // ring = 512 entries = 32 KiB of raw slots
+// Fills a fresh 2 MiB aligned extent at /aligned, overwrites 256 KiB of it,
+// checks the content round-trips, and reports the file's hugepage-mapped
+// fraction afterwards.
+void OverwriteAlignedExtent(pmem::PmemDevice* dev, winefs::WineFs* fs, double* huge_fraction) {
   ExecContext ctx;
   ASSERT_TRUE(fs->Mkfs(ctx).ok());
   auto fd = fs->Open(ctx, "/aligned", vfs::OpenFlags::Create());
   ASSERT_TRUE(fs->Fallocate(ctx, *fd, 0, 2 * kMiB).ok());
-  // A 256 KiB overwrite of the aligned extent: data-journaled in segments,
-  // each of which must fit the tiny ring. Content must round-trip.
   std::vector<uint8_t> data(256 * 1024);
   for (size_t i = 0; i < data.size(); i++) {
     data[i] = static_cast<uint8_t>(i * 31);
@@ -80,12 +79,37 @@ TEST(WineFsJournalTest, BlobSegmentsRespectRingCapacity) {
   std::vector<uint8_t> out(data.size());
   ASSERT_TRUE(fs->Pread(ctx, *fd, out.data(), out.size(), 4096).ok());
   EXPECT_EQ(out, data);
-  // Layout stayed aligned (data journaling, not CoW).
-  vmem::MmapEngine engine(&dev, vmem::MmuParams{}, 2);
+  vmem::MmapEngine engine(dev, vmem::MmuParams{}, 2);
   auto ino = fs->InodeOf(ctx, *fd);
-  auto map = engine.Mmap(fs.get(), *ino, 2 * kMiB, false);
+  auto map = engine.Mmap(fs, *ino, 2 * kMiB, false);
   ASSERT_TRUE(map->Prefault(ctx, false).ok());
-  EXPECT_DOUBLE_EQ(map->HugeMappedFraction(), 1.0);
+  *huge_fraction = map->HugeMappedFraction();
+}
+
+TEST(WineFsJournalTest, BlobSegmentsRespectRingCapacity) {
+  // 256 blocks of journal across 2 CPUs = 8192 entries per ring: room for the
+  // whole 256 KiB overwrite, data-journaled in 64 KiB blob segments, so the
+  // layout stays aligned (data journaling, not CoW).
+  pmem::PmemDevice dev(128 * kMiB);
+  winefs::WineFsOptions options;
+  options.base.max_inodes = 4096;
+  options.base.journal_blocks = 256;
+  options.base.num_cpus = 2;
+  winefs::WineFs fs(&dev, options);
+  double huge_fraction = 0;
+  OverwriteAlignedExtent(&dev, &fs, &huge_fraction);
+  EXPECT_DOUBLE_EQ(huge_fraction, 1.0);
+}
+
+TEST(WineFsJournalTest, OverwriteLargerThanRingCopiesOnWrite) {
+  // A 512-entry ring holds 32 KiB of blob: the 256 KiB overwrite cannot be
+  // data-journaled in one transaction without overrunning the ring, so its
+  // segments are copied on write and the extent loses its hugepage.
+  pmem::PmemDevice dev(128 * kMiB);
+  auto fs = TinyJournalFs(&dev);
+  double huge_fraction = 1;
+  OverwriteAlignedExtent(&dev, fs.get(), &huge_fraction);
+  EXPECT_LT(huge_fraction, 1.0);
 }
 
 TEST(WineFsJournalTest, RecoveryIsIdempotent) {
